@@ -1,9 +1,7 @@
-//! Audit throughput benchmark (ISSUE 3 acceptance): full audit rounds per
-//! second at 100 / 1000 concurrent auditing clients, legacy per-step path
-//! (`Attest` + `GetCheckpoint` round-trips, one fresh checkpoint signature
-//! per client) vs. the batched path (`BatchAudit`: one round-trip served
-//! from the host's shared per-epoch proof cache, verified client-side
-//! through the auditor's verified-prefix cache).
+//! Audit throughput benchmark: full audit rounds per second at 100 / 1000
+//! concurrent auditing clients (`BatchAudit`: one round-trip served from
+//! the host's shared per-epoch proof cache, verified client-side through
+//! the auditor's verified-prefix cache).
 //!
 //! Custom harness (`harness = false`), same shape as `wire_concurrency`:
 //! N connections held open against one `DirectHost`-served trust domain,
@@ -92,48 +90,9 @@ impl AuditorConn {
 }
 
 /// One full audit round for every connection of a worker, pipelined:
-/// send a step on all connections, then collect all responses, so the
-/// host always has a queue to chew through. Returns per-connection
+/// send the request on all connections, then collect all responses, so
+/// the host always has a queue to chew through. Returns per-connection
 /// whole-audit latencies.
-fn legacy_round(conns: &mut [AuditorConn]) -> Vec<u64> {
-    let mut started = Vec::with_capacity(conns.len());
-    // Step 1: attest.
-    for c in conns.iter_mut() {
-        started.push(Instant::now());
-        let nonce = c.nonce();
-        c.transport
-            .send(&Request::Attest { nonce }.to_wire())
-            .expect("send attest");
-    }
-    for c in conns.iter_mut() {
-        let frame = c.transport.recv().expect("recv attest");
-        let resp = Response::from_wire(&frame).expect("decode");
-        assert!(
-            matches!(resp, Response::Unattested(_)),
-            "domain 0 attests plainly"
-        );
-    }
-    // Step 2: checkpoint (the host signs one per request) + verification.
-    for c in conns.iter_mut() {
-        c.transport
-            .send(&Request::GetCheckpoint.to_wire())
-            .expect("send checkpoint");
-    }
-    let mut latencies = Vec::with_capacity(conns.len());
-    for (c, started) in conns.iter_mut().zip(&started) {
-        let frame = c.transport.recv().expect("recv checkpoint");
-        let resp = Response::from_wire(&frame).expect("decode");
-        let Response::Checkpoint(cp) = resp else {
-            panic!("expected checkpoint");
-        };
-        // Steady state: no growth, so no GetConsistency round-trip; the
-        // auditor still verifies the fresh signature every time.
-        assert!(c.auditor.observe(0, cp, None).is_consistent());
-        latencies.push(started.elapsed().as_nanos() as u64);
-    }
-    latencies
-}
-
 fn batched_round(conns: &mut [AuditorConn]) -> Vec<u64> {
     let mut started = Vec::with_capacity(conns.len());
     for (i, c) in conns.iter_mut().enumerate() {
@@ -181,7 +140,7 @@ fn percentile(sorted: &[u64], p: f64) -> Duration {
     Duration::from_nanos(sorted[idx])
 }
 
-fn run(batched: bool, clients: usize) -> Row {
+fn run(clients: usize) -> Row {
     let mut host = spawn_domain();
     let addr = host.addr();
     let key = checkpoint_key().verifying_key();
@@ -198,24 +157,15 @@ fn run(batched: bool, clients: usize) -> Row {
                     .collect();
                 barrier.wait();
                 // Warmup (first observation: full verification) happens
-                // outside the measured window for both modes.
+                // outside the measured window.
                 for _ in 0..WARMUP_ROUNDS {
-                    if batched {
-                        batched_round(&mut conns);
-                    } else {
-                        legacy_round(&mut conns);
-                    }
+                    batched_round(&mut conns);
                 }
                 measured_start.wait();
                 let started = Instant::now();
                 let mut latencies = Vec::with_capacity(per_worker * MEASURED_ROUNDS);
                 for _ in 0..MEASURED_ROUNDS {
-                    let lat = if batched {
-                        batched_round(&mut conns)
-                    } else {
-                        legacy_round(&mut conns)
-                    };
-                    latencies.extend(lat);
+                    latencies.extend(batched_round(&mut conns));
                 }
                 let measured_wall = started.elapsed();
                 let (sigs, skips) = conns
@@ -245,11 +195,7 @@ fn run(batched: bool, clients: usize) -> Row {
     host.shutdown();
     latencies.sort_unstable();
     Row {
-        mode: if batched {
-            "batched (BatchAudit)"
-        } else {
-            "legacy per-step"
-        },
+        mode: "batched (BatchAudit)",
         clients,
         audits: latencies.len(),
         p50: percentile(&latencies, 0.50),
@@ -279,37 +225,19 @@ fn main() {
             eprintln!("fd limit too tight for {requested} clients; skipping");
             continue;
         }
-        for batched in [false, true] {
-            let row = run(batched, clients);
-            println!(
-                "{:<22} {:>8} {:>8} {:>10.2?} {:>10.2?} {:>10.0} {:>10} {:>8}",
-                row.mode,
-                row.clients,
-                row.audits,
-                row.p50,
-                row.p99,
-                row.throughput,
-                row.sig_verifies_per_conn,
-                row.skips_per_conn
-            );
-            rows.push(row);
-        }
-    }
-    // Speedup summary per client count.
-    for &clients in CLIENT_COUNTS {
-        let legacy = rows
-            .iter()
-            .find(|r| r.clients == clients && r.mode.starts_with("legacy"));
-        let batched = rows
-            .iter()
-            .find(|r| r.clients == clients && r.mode.starts_with("batched"));
-        if let (Some(l), Some(b)) = (legacy, batched) {
-            println!(
-                "speedup @ {} clients: {:.2}x audit rounds/s",
-                clients,
-                b.throughput / l.throughput
-            );
-        }
+        let row = run(clients);
+        println!(
+            "{:<22} {:>8} {:>8} {:>10.2?} {:>10.2?} {:>10.0} {:>10} {:>8}",
+            row.mode,
+            row.clients,
+            row.audits,
+            row.p50,
+            row.p99,
+            row.throughput,
+            row.sig_verifies_per_conn,
+            row.skips_per_conn
+        );
+        rows.push(row);
     }
     let entries: Vec<String> = rows
         .iter()

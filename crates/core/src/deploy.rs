@@ -114,7 +114,7 @@ impl From<std::io::Error> for DeployError {
 impl Deployment {
     /// Bootstraps the full deployment. `seed` makes the whole topology
     /// reproducible (vendor roots, device keys, developer key). The
-    /// append-only logs use the legacy wire-compatible 1-shard layout;
+    /// append-only logs use the single-tree (1-shard) layout;
     /// see [`Deployment::launch_sharded`] for multi-shard logs.
     pub fn launch(spec: AppSpec, seed: &[u8]) -> Result<Self, DeployError> {
         Self::launch_sharded(spec, seed, 1)

@@ -74,11 +74,12 @@ pub struct FrameworkConfig {
     /// Sandbox execution limits applied to every application instance.
     pub limits: Limits,
     /// Shards of the append-only log (appends route by the releasing
-    /// app's id). `1` (or `0`, normalized to `1`) keeps the legacy
-    /// single-tree layout — checkpoints, proofs, and audit bundles stay
-    /// byte-compatible with pre-shard deployments. With more shards,
-    /// checkpoints sign the top-level shard-head commitment and audits
-    /// are served as [`Response::ShardAuditBundle`]. Note that a
+    /// app's id). `1` (or `0`, normalized to `1`) is the single-tree
+    /// layout: checkpoints sign the tree's root and audits are served as
+    /// [`Response::AuditBundle`], which clients verify as a 1-shard
+    /// [`ShardBundle`]. With more shards, checkpoints sign the top-level
+    /// shard-head commitment and audits are served as
+    /// [`Response::ShardAuditBundle`]. Note that a
     /// framework is pinned to one app, so *its own* appends all route to
     /// that app's shard — multi-shard configs lay the commitment/audit
     /// groundwork (and are what multi-app or key-range routing will
@@ -184,8 +185,8 @@ pub struct EnclaveFramework {
     /// key. Clients pin the corresponding public keys at deployment.
     checkpoint_key: SigningKey,
     /// The code-digest log: Merkle shards (appends routed by app id) under
-    /// a top-level shard-head commitment. One shard reproduces the legacy
-    /// single-tree wire format bit for bit.
+    /// a top-level shard-head commitment. With one shard the commitment
+    /// is the single tree's root.
     log: ShardedLog,
     /// Update notices, one per activated release.
     notices: Vec<UpdateNotice>,
@@ -423,26 +424,10 @@ impl EnclaveFramework {
         };
         self.notices.push(notice.clone());
         // Sign this epoch's checkpoint once, here — every BatchAudit until
-        // the next update is served from it without touching the key. The
-        // checkpoint signs the shard-head commitment (= the single tree's
-        // root on 1-shard logs) over the epoch's shard snapshot. The log
-        // is fsynced FIRST: a signed head must never outrun durable
-        // history, or a crash between signing and syncing would turn this
-        // honest domain's restart into equivocation evidence.
-        self.log
-            .sync()
+        // the next update is served from it without touching the key.
+        let (checkpoint, snapshot) = self
+            .sign_epoch()
             .map_err(|e| ReleaseError::LogAppend(e.to_string()))?;
-        self.logical_time += 1;
-        let snapshot = self.log.snapshot();
-        let checkpoint = SignedCheckpoint::sign(
-            CheckpointBody {
-                log_id: self.config.log_id,
-                size: snapshot.total(),
-                head: snapshot.commitment(),
-                logical_time: self.logical_time,
-            },
-            &self.checkpoint_key,
-        );
         // Persist the signed artifacts (notice first — an epoch record
         // implies its notice): a restart reuses these instead of minting
         // fresh signatures for the same sizes.
@@ -470,14 +455,15 @@ impl EnclaveFramework {
     }
 
     /// Signs a checkpoint of the current log (the shard-head commitment;
-    /// on a 1-shard log, byte-identical to the legacy single-tree form).
-    /// Syncs the store first — sign-before-durable would let a crash
-    /// fabricate equivocation evidence against this domain's own key.
-    pub fn checkpoint(&mut self) -> Result<SignedCheckpoint, StoreError> {
+    /// on a 1-shard log, the single tree's root) and returns it with the
+    /// shard snapshot it commits to. Syncs the store first —
+    /// sign-before-durable would let a crash fabricate equivocation
+    /// evidence against this domain's own key.
+    fn sign_epoch(&mut self) -> Result<(SignedCheckpoint, ShardSnapshot), StoreError> {
         self.log.sync()?;
         self.logical_time += 1;
         let snapshot = self.log.snapshot();
-        Ok(SignedCheckpoint::sign(
+        let checkpoint = SignedCheckpoint::sign(
             CheckpointBody {
                 log_id: self.config.log_id,
                 size: snapshot.total(),
@@ -485,7 +471,8 @@ impl EnclaveFramework {
                 logical_time: self.logical_time,
             },
             &self.checkpoint_key,
-        ))
+        );
+        Ok((checkpoint, snapshot))
     }
 
     /// `(hits, misses)` of the shared audit-bundle cache — how many
@@ -535,7 +522,7 @@ impl EnclaveFramework {
 
     /// Serves the checkpoint/proof half of a batched audit from the shared
     /// per-epoch cache, building (and caching) it on first demand
-    /// (1-shard logs: the legacy byte-compatible bundle).
+    /// (1-shard logs: the single-tree bundle).
     fn audit_bundle(&mut self, verified_size: u64) -> CheckpointBundle {
         let (key, current) = self.audit_cache_key(verified_size);
         if let Some(bundle) = self.audit_cache.bundles.get(&key) {
@@ -632,12 +619,11 @@ impl EnclaveFramework {
         // sizes are the proof baseline. An unknown total gets the
         // from-scratch baseline — the client's own per-shard cache decides
         // what it accepts.
-        let baseline_epoch = self
+        let baseline: Vec<u64> = self
             .epoch_snapshots
             .iter()
-            .position(|s| s.total() == verified_size);
-        let baseline: Vec<u64> = baseline_epoch
-            .map(|i| self.epoch_snapshots[i].sizes.clone())
+            .find(|s| s.total() == verified_size)
+            .map(|s| s.sizes.clone())
             .unwrap_or_else(|| vec![0; shard_count]);
         let mut included: Vec<usize> = (0..self.epoch_checkpoints.len())
             .filter(|&i| self.epoch_checkpoints[i].body.size > verified_size)
@@ -662,24 +648,13 @@ impl EnclaveFramework {
             .log
             .prove_shard_runs(&baseline, &snapshots)
             .unwrap_or_else(|| empty_runs(&self.log));
-        // Lead with the client's verified epoch itself (when it names
-        // one): a verifier that trusts the `(size, head)` but has never
-        // seen its per-shard decomposition — a client whose last round
-        // fell back to the per-step path, say — re-learns the baseline
-        // from this epoch (the binding is checked against the signed
-        // head) and can then walk the runs. Costs one skipped-signature
-        // checkpoint for everyone else.
-        let mut epochs = Vec::with_capacity(included.len() + 1);
-        if let Some(b) = baseline_epoch {
-            epochs.push(ShardEpoch {
-                checkpoint: self.epoch_checkpoints[b].clone(),
-                shards: self.epoch_snapshots[b].clone(),
-            });
-        }
-        epochs.extend(included.iter().map(|&i| ShardEpoch {
-            checkpoint: self.epoch_checkpoints[i].clone(),
-            shards: self.epoch_snapshots[i].clone(),
-        }));
+        let epochs = included
+            .iter()
+            .map(|&i| ShardEpoch {
+                checkpoint: self.epoch_checkpoints[i].clone(),
+                shards: self.epoch_snapshots[i].clone(),
+            })
+            .collect();
         ShardBundle { epochs, proof }
     }
 
@@ -717,28 +692,6 @@ impl EnclaveFramework {
                 },
                 Err(e) => Response::UpdateRejected(e.to_string()),
             },
-            Request::GetCheckpoint => match self.checkpoint() {
-                Ok(cp) => Response::Checkpoint(cp),
-                Err(e) => Response::Error(format!("checkpoint unavailable: {e}")),
-            },
-            Request::GetConsistency { old_size } => {
-                // Top-level consistency proofs exist only for the 1-shard
-                // (single-tree) layout; a sharded commitment is not
-                // append-only and is audited per shard via `BatchAudit`.
-                if self.log.shard_count() != 1 {
-                    return Response::Error(
-                        "sharded log has no top-level consistency proof; audit via BatchAudit"
-                            .into(),
-                    );
-                }
-                let current = self.log.total_len();
-                match self.log.prove_shard_consistency(0, old_size, current) {
-                    Some(proof) => Response::Consistency(proof),
-                    None => Response::Error(format!(
-                        "no consistency proof from {old_size} to {current}"
-                    )),
-                }
-            }
             Request::GetLogEntries { from } => {
                 // The multi-shard flattening (shards concatenated in
                 // shard order) is NOT append-only — an append to a lower
@@ -746,8 +699,7 @@ impl EnclaveFramework {
                 // with a remembered offset would silently skip entries.
                 // Full dumps are fine; incremental reads are per-shard
                 // ([`Request::GetShardEntries`], append-only within a
-                // shard). On 1-shard logs the legacy semantics hold
-                // exactly.
+                // shard). On 1-shard logs every offset is served.
                 if self.log.shard_count() != 1 && from != 0 {
                     return Response::Error(
                         "sharded log: incremental reads are per-shard; use GetShardEntries \
@@ -794,10 +746,10 @@ impl EnclaveFramework {
                     }
                     None => BundleAttestation::Unattested(binding.status),
                 };
-                // 1-shard logs answer with the legacy byte-compatible
-                // bundle; multi-shard logs with the sharded one. The
-                // request is the same either way — clients discover the
-                // layout from the response tag.
+                // 1-shard logs answer with the single-tree bundle;
+                // multi-shard logs with the sharded one. The request is
+                // the same either way — clients discover the layout from
+                // the response tag.
                 if self.log.shard_count() == 1 {
                     let bundle = self.audit_bundle(verified_size);
                     Response::AuditBundle(Box::new(AuditBundle {
@@ -1018,13 +970,14 @@ mod tests {
     fn checkpoints_sign_current_log() {
         let mut fw = fresh_framework();
         fw.apply_update(&release(1)).unwrap();
-        let cp = fw.checkpoint().unwrap();
+        let (cp, snapshot) = fw.sign_epoch().unwrap();
         assert_eq!(cp.body.size, 1);
         assert_eq!(cp.body.head, fw.status().log_head);
+        assert_eq!(cp.body.head, snapshot.commitment());
         let key = SigningKey::derive(b"framework tests", b"checkpoint").verifying_key();
         assert!(cp.verify(&key));
         // Logical time advances.
-        let cp2 = fw.checkpoint().unwrap();
+        let (cp2, _) = fw.sign_epoch().unwrap();
         assert!(cp2.body.logical_time > cp.body.logical_time);
     }
 
@@ -1035,14 +988,23 @@ mod tests {
         let head1 = fw.status().log_head;
         fw.apply_update(&release(2)).unwrap();
         let head2 = fw.status().log_head;
-        match fw.handle(Request::GetConsistency { old_size: 1 }) {
-            Response::Consistency(p) => assert!(p.verify(&head1, &head2)),
+        let mut audit = |verified_size| match fw.handle(Request::BatchAudit {
+            request_id: 1,
+            nonce: [0; 32],
+            verified_size,
+        }) {
+            Response::AuditBundle(b) => b.bundle,
             other => panic!("unexpected {other:?}"),
-        }
-        assert!(matches!(
-            fw.handle(Request::GetConsistency { old_size: 5 }),
-            Response::Error(_)
-        ));
+        };
+        // From a verified size of 1, the bundle links head 1 to head 2.
+        let bundle = audit(1);
+        let step = bundle.proof.step(0).expect("one consistency step");
+        assert_eq!((step.old_size, step.new_size), (1, 2));
+        assert!(step.verify(&head1, &head2));
+        // Past the head, only the latest checkpoint comes back: no proof.
+        let bundle = audit(5);
+        assert_eq!(bundle.checkpoints.len(), 1);
+        assert!(bundle.proof.is_empty());
     }
 
     #[test]

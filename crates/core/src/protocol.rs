@@ -9,8 +9,6 @@ use crate::manifest::{ReleaseManifest, SignedRelease};
 use distrust_gossip::envelope::GossipEnvelope;
 use distrust_gossip::witness::CosignedHeads;
 use distrust_log::batch::CheckpointBundle;
-use distrust_log::checkpoint::SignedCheckpoint;
-use distrust_log::merkle::ConsistencyProof;
 use distrust_log::shard::ShardBundle;
 use distrust_tee::attest::Quote;
 use distrust_wire::codec::{decode_seq, encode_seq, Decode, DecodeError, Encode};
@@ -44,13 +42,6 @@ pub enum Request {
         /// The signed release.
         release: SignedRelease,
     },
-    /// Request a signed checkpoint of the code-digest log.
-    GetCheckpoint,
-    /// Request a consistency proof from `old_size` to the current log.
-    GetConsistency {
-        /// Size the client last verified.
-        old_size: u64,
-    },
     /// Fetch log leaves `[from, current)` for replay/inspection. On
     /// multi-shard domains the response is the shard-order flattening and
     /// only `from = 0` is served (the flattening is not append-only, so
@@ -67,12 +58,10 @@ pub enum Request {
         /// First notice index of interest.
         since: u64,
     },
-    /// One-round-trip audit: attestation + latest checkpoint(s) + a range
-    /// consistency proof from `verified_size`, all in a single response
-    /// ([`Response::AuditBundle`]). Replaces the per-step
-    /// `Attest`/`GetCheckpoint`/`GetConsistency` sequence for servers that
-    /// understand it; old servers answer with an error and the client
-    /// falls back to the per-step path.
+    /// The audit: attestation + latest checkpoint(s) + the consistency
+    /// proofs from `verified_size`, all in a single response
+    /// ([`Response::AuditBundle`] from 1-shard logs,
+    /// [`Response::ShardAuditBundle`] from multi-shard ones).
     BatchAudit {
         /// Client-chosen id echoed in the response, so several audits can
         /// be pipelined over one connection and matched back.
@@ -85,8 +74,7 @@ pub enum Request {
     },
     /// Fetch leaves `[from, len)` of one **shard** of a sharded log.
     /// Single-shard domains treat shard 0 exactly like
-    /// [`Request::GetLogEntries`]; old servers answer with an error and
-    /// the client falls back to the legacy request for shard 0.
+    /// [`Request::GetLogEntries`].
     GetShardEntries {
         /// Shard index.
         shard: u32,
@@ -96,8 +84,8 @@ pub enum Request {
     /// Epidemic checkpoint exchange: the sender's latest signed heads and
     /// any transferable misbehavior evidence it holds. Answered with
     /// [`Response::Gossip`] carrying the receiver's view, so every
-    /// exchange compares notes in both directions. Old servers answer
-    /// with an error; gossip is best-effort, so senders just move on.
+    /// exchange compares notes in both directions. Gossip is
+    /// best-effort: a sender that gets an error back just moves on.
     Gossip {
         /// What the sender knows.
         envelope: GossipEnvelope,
@@ -126,11 +114,8 @@ impl Encode for Request {
                 3u8.encode(out);
                 release.encode(out);
             }
-            Request::GetCheckpoint => 4u8.encode(out),
-            Request::GetConsistency { old_size } => {
-                5u8.encode(out);
-                old_size.encode(out);
-            }
+            // Tags 4 and 5 are retired (the per-step checkpoint and
+            // consistency requests); never reuse them.
             Request::GetLogEntries { from } => {
                 6u8.encode(out);
                 from.encode(out);
@@ -189,10 +174,6 @@ impl Decode for Request {
             },
             3 => Request::Update {
                 release: Decode::decode(input)?,
-            },
-            4 => Request::GetCheckpoint,
-            5 => Request::GetConsistency {
-                old_size: Decode::decode(input)?,
             },
             6 => Request::GetLogEntries {
                 from: Decode::decode(input)?,
@@ -340,10 +321,9 @@ wire_struct!(AuditBundle {
 
 /// The sharded-log answer to [`Request::BatchAudit`]: attestation plus a
 /// [`ShardBundle`] (per-epoch shard snapshots and per-shard consistency
-/// runs). Served only by domains whose log has more than one shard —
-/// 1-shard domains answer with the byte-compatible [`AuditBundle`], so
-/// old clients never see this variant unless they audit a multi-shard
-/// deployment (which no old deployment can be).
+/// runs). Served only by domains whose log has more than one shard;
+/// 1-shard domains answer with the smaller [`AuditBundle`], which the
+/// client verifies as a 1-shard [`ShardBundle`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardAuditBundle {
     /// Echo of the request id, so pipelined audits match up.
@@ -387,10 +367,6 @@ pub enum Response {
     },
     /// Update rejected (bad signature, stale version, …).
     UpdateRejected(String),
-    /// Signed log checkpoint.
-    Checkpoint(SignedCheckpoint),
-    /// Consistency proof.
-    Consistency(ConsistencyProof),
     /// Raw log leaves.
     LogEntries(Vec<Vec<u8>>),
     /// Update notices.
@@ -453,16 +429,8 @@ impl Encode for Response {
                 6u8.encode(out);
                 e.encode(out);
             }
-            Response::Checkpoint(c) => {
-                7u8.encode(out);
-                c.encode(out);
-            }
-            Response::Consistency(p) => {
-                8u8.encode(out);
-                p.old_size.encode(out);
-                p.new_size.encode(out);
-                encode_seq(&p.path, out);
-            }
+            // Tags 7 and 8 are retired (the per-step checkpoint and
+            // consistency answers); never reuse them.
             Response::LogEntries(entries) => {
                 9u8.encode(out);
                 encode_seq(entries, out);
@@ -504,7 +472,7 @@ impl Response {
     /// responses with: a client cannot know in advance whether a domain's
     /// log is sharded, so matching only one tag would park the other
     /// shape's frames forever. Returns `None` for every other response,
-    /// including the error frames old servers answer with.
+    /// including error frames.
     pub fn peek_request_id(frame: &[u8]) -> Option<u64> {
         match frame.split_first() {
             Some((&12, rest)) | Some((&13, rest)) => {
@@ -530,12 +498,6 @@ impl Decode for Response {
                 digest: Decode::decode(input)?,
             },
             6 => Response::UpdateRejected(Decode::decode(input)?),
-            7 => Response::Checkpoint(Decode::decode(input)?),
-            8 => Response::Consistency(ConsistencyProof {
-                old_size: Decode::decode(input)?,
-                new_size: Decode::decode(input)?,
-                path: decode_seq(input)?,
-            }),
             9 => Response::LogEntries(decode_seq(input)?),
             10 => Response::Notices(decode_seq(input)?),
             11 => Response::Error(Decode::decode(input)?),
@@ -582,8 +544,6 @@ mod tests {
                 payload: b"payload".to_vec(),
             },
             Request::Update { release },
-            Request::GetCheckpoint,
-            Request::GetConsistency { old_size: 3 },
             Request::GetLogEntries { from: 1 },
             Request::GetNotices { since: 2 },
             Request::BatchAudit {
@@ -613,11 +573,6 @@ mod tests {
                 digest: [3; 32],
             },
             Response::UpdateRejected("stale".into()),
-            Response::Consistency(ConsistencyProof {
-                old_size: 1,
-                new_size: 2,
-                path: vec![[7; 32]],
-            }),
             Response::LogEntries(vec![b"leaf".to_vec()]),
             Response::Notices(vec![UpdateNotice {
                 manifest: ReleaseManifest {

@@ -12,7 +12,7 @@
 //!   object (`SignedCheckpoint`, `SignedRelease`, `Quote`, `*Bundle*`),
 //!   or that are bound from a `decode`/`from_wire` of one;
 //! * **verified** — a `verify*` call, or one of the auditor entry points
-//!   (`observe`, `observe_bundle`, `observe_shard_bundle`,
+//!   (`observe_bundle`, `observe_shard_bundle`,
 //!   `precheck_checkpoint_batch`, `ingest_gossip`), with the variable as
 //!   receiver or argument, marks it verified from that token on;
 //! * **sink** — a state-changing call (`append`, `insert`, `push`,
@@ -33,8 +33,7 @@ use std::collections::BTreeMap;
 pub const PASS: &str = "trust-boundary";
 
 /// Auditor entry points that constitute verification of their argument.
-const VERIFIER_FNS: [&str; 5] = [
-    "observe",
+const VERIFIER_FNS: [&str; 4] = [
     "observe_bundle",
     "observe_shard_bundle",
     "precheck_checkpoint_batch",
@@ -467,7 +466,7 @@ mod unit {
     fn verifier_functions_are_exempt() {
         let report = run_on(
             "crates/log/src/auditor.rs",
-            "fn observe(&mut self, cp: &SignedCheckpoint) { self.cache.insert(cp.root, 1); }",
+            "fn observe_bundle(&mut self, cp: &SignedCheckpoint) { self.cache.insert(cp.root, 1); }",
         );
         assert_eq!(report.findings.len(), 0);
     }

@@ -10,16 +10,16 @@
 //! are explicit: [`AuditOutcome::Consistent`], or a [`Misbehavior`] value
 //! carrying the strongest available evidence.
 //!
-//! Checkpoints can be ingested one at a time ([`Auditor::observe`], the
-//! per-step path) or as a whole [`CheckpointBundle`]
-//! ([`Auditor::observe_bundle`], the batched path): identical detection
-//! semantics, but the batched path costs one round-trip and — thanks to
-//! the per-domain [`VerifiedPrefixCache`] — never re-verifies signatures
-//! or proofs at or below the already-verified prefix.
+//! Checkpoints arrive as bundles, and every bundle is verified by one
+//! walk, [`Auditor::observe_shard_bundle`]. A single-tree
+//! [`CheckpointBundle`] ([`Auditor::observe_bundle`]) is handed to it as
+//! a 1-shard [`ShardBundle`] — a 1-shard commitment is the shard root, so
+//! nothing about the single-tree checkpoints changes. Thanks to the
+//! per-domain [`VerifiedPrefixCache`], the walk never re-verifies
+//! signatures or proofs at or below the already-verified prefix.
 
 use crate::batch::{CheckpointBundle, VerifiedPrefixCache};
 use crate::checkpoint::{EquivocationProof, SignedCheckpoint};
-use crate::merkle::ConsistencyProof;
 use crate::shard::ShardBundle;
 use distrust_crypto::schnorr::VerifyingKey;
 use distrust_crypto::sha256::Digest;
@@ -117,11 +117,9 @@ struct DomainState {
 }
 
 impl DomainState {
-    /// Checkpoint-level prechecks shared by both batched ingest paths
-    /// ([`Auditor::observe_bundle`] and [`Auditor::observe_shard_bundle`]
-    /// — the sharded path layers per-shard verification on top, but the
-    /// evidence hunts over the *signed checkpoints* are one piece of
-    /// logic, maintained once). In order: signature verification skipping
+    /// Checkpoint-level prechecks of [`Auditor::observe_shard_bundle`]:
+    /// the evidence hunts over the *signed checkpoints*, before any
+    /// per-shard verification. In order: signature verification skipping
     /// checkpoints byte-identical to already-verified ones; equivocation
     /// inside the batch (two correctly signed heads for one size are
     /// transferable proof); equivocation against everything previously
@@ -195,9 +193,8 @@ impl DomainState {
             }
         }
         // 5. Rollback: no checkpoint may be older than the verified
-        //    prefix — exactly what the per-step path flags when a served
-        //    checkpoint goes backwards (a stale cached bundle, or a stale
-        //    entry smuggled into an otherwise-fresh bundle).
+        //    prefix (a stale cached bundle, or a stale entry smuggled
+        //    into an otherwise-fresh bundle).
         if let Some(trusted) = &self.latest {
             for cp in cps {
                 if cp.body.size < trusted.body.size {
@@ -246,12 +243,15 @@ impl Auditor {
 
     /// Ingests one signed checkpoint from `domain`, with a consistency
     /// proof against the previously verified checkpoint when one exists
-    /// (`proof` may be `None` for a first observation).
+    /// (`proof` may be `None` for a first observation). The one-at-a-time
+    /// oracle the bundle walk is property-tested against; like the walk,
+    /// it commits the checkpoint as a 1-shard prefix.
+    #[cfg(test)]
     pub fn observe(
         &mut self,
         domain: u32,
         checkpoint: SignedCheckpoint,
-        proof: Option<&ConsistencyProof>,
+        proof: Option<&crate::merkle::ConsistencyProof>,
     ) -> AuditOutcome {
         let Some(state) = self.domains.get_mut(domain as usize) else {
             return AuditOutcome::Misbehavior(Box::new(Misbehavior::BadSignature {
@@ -333,106 +333,27 @@ impl Auditor {
                 }
             }
         }
-        state
-            .cache
-            .record(checkpoint.body.size, checkpoint.body.head);
-        state.seen.insert(checkpoint.body.size, checkpoint.clone());
+        let (size, head) = (checkpoint.body.size, checkpoint.body.head);
+        state.cache.record(size, head);
+        state.cache.record_shards(&[size], &[head]);
+        state.seen.insert(size, checkpoint.clone());
         state.latest = Some(checkpoint);
         AuditOutcome::Consistent
     }
 
-    /// Ingests a whole [`CheckpointBundle`] from `domain` — the batched
-    /// equivalent of calling [`Auditor::observe`] once per checkpoint with
-    /// the pairwise consistency proofs, with identical accept/flag
-    /// behaviour, but without re-verifying anything at or below the
-    /// already-verified prefix (see [`VerifiedPrefixCache`]).
-    ///
-    /// Checks, in order: signatures on every checkpoint not already
-    /// verified byte-for-byte; equivocation both *inside* the bundle and
-    /// against all previously seen checkpoints (yielding a transferable
-    /// [`Misbehavior::Equivocation`] proof, exactly as in the per-step
-    /// path); structural validity (strictly ascending sizes); rollback of
-    /// the freshest checkpoint below the trusted size; and one
-    /// consistency-proof verification per size transition above the
-    /// verified prefix.
+    /// Ingests a single-tree [`CheckpointBundle`] from `domain`: verified
+    /// as its 1-shard [`ShardBundle`] view by
+    /// [`Auditor::observe_shard_bundle`], with identical outcomes.
     pub fn observe_bundle(&mut self, domain: u32, bundle: &CheckpointBundle) -> AuditOutcome {
-        let misb = |m: Misbehavior| AuditOutcome::Misbehavior(Box::new(m));
-        let Some(state) = self.domains.get_mut(domain as usize) else {
-            return misb(Misbehavior::MalformedBundle {
-                domain,
-                reason: "unknown domain index".into(),
-            });
-        };
-        let cps = &bundle.checkpoints;
-        if cps.is_empty() {
-            return misb(Misbehavior::MalformedBundle {
-                domain,
-                reason: "bundle carries no checkpoints".into(),
-            });
-        }
-        // 1–5. The shared checkpoint-level prechecks: signatures (with
-        //      the byte-identical skip), equivocation inside the bundle
-        //      and against history, ascending sizes, and rollback below
-        //      the verified prefix.
-        let refs: Vec<&SignedCheckpoint> = cps.iter().collect();
-        if let Some(m) = state.precheck_checkpoint_batch(domain, &refs) {
-            return misb(m);
-        }
-        let last = cps.last().expect("non-empty");
-        // 6. Chain verification above the verified prefix: one consistency
-        //    step per size transition, in order.
-        let mut cur: Option<SignedCheckpoint> = state.latest.clone();
-        let mut next_step = 0usize;
-        for cp in cps {
-            let Some(prev) = &cur else {
-                // First observation ever: nothing to link from.
-                cur = Some(cp.clone());
-                continue;
-            };
-            if cp.body.size == prev.body.size {
-                // Exactly the verified prefix (the rollback sweep above
-                // excluded anything older): the head was already
-                // cross-checked through the equivocation hunt; never
-                // re-verify.
-                state.cache.note_skipped();
-                continue;
-            }
-            if prev.body.size > 0 {
-                let expanded = bundle.proof.step(next_step);
-                next_step += 1;
-                let ok = match expanded {
-                    Some(p) => {
-                        state.cache.note_consistency();
-                        p.old_size == prev.body.size
-                            && p.new_size == cp.body.size
-                            && p.verify(&prev.body.head, &cp.body.head)
-                    }
-                    None => false,
-                };
-                if !ok {
-                    return misb(Misbehavior::InconsistentGrowth {
-                        domain,
-                        trusted: prev.clone(),
-                        offered: cp.clone(),
-                    });
-                }
-            }
-            cur = Some(cp.clone());
-        }
-        // 7. Commit.
-        for cp in cps {
-            state.seen.insert(cp.body.size, cp.clone());
-        }
-        state.cache.record(last.body.size, last.body.head);
-        state.latest = Some(last.clone());
-        AuditOutcome::Consistent
+        self.observe_shard_bundle(domain, &ShardBundle::from(bundle.clone()))
     }
 
-    /// Ingests a sharded-log audit bundle from `domain` — the shard-aware
-    /// analogue of [`Auditor::observe_bundle`], with the same checkpoint
-    /// detection semantics (signatures skipped at or below the verified
-    /// prefix, equivocation hunts inside the bundle and against history,
-    /// rollback) plus the sharded-commitment checks:
+    /// Ingests an audit bundle from `domain` — the one verification walk.
+    /// Checkpoint-level detection first (signatures skipped at or below
+    /// the verified prefix, equivocation hunts inside the bundle and
+    /// against history — yielding a transferable
+    /// [`Misbehavior::Equivocation`] proof — ascending sizes, rollback),
+    /// then the sharded-commitment checks:
     ///
     /// * every epoch's snapshot must reproduce its signed `(size, head)` —
     ///   `size = Σ shard sizes`, `head =` the shard-heads commitment;
@@ -484,44 +405,27 @@ impl Auditor {
                 return malformed(domain, "snapshot does not produce the signed (size, head)");
             }
         }
-        // 1–5. The shared checkpoint-level prechecks over the epochs'
-        //      signed checkpoints (identical logic to the single-tree
-        //      bundle path, maintained once).
+        // 1–5. The checkpoint-level prechecks over the epochs' signed
+        //      checkpoints.
         let refs: Vec<&SignedCheckpoint> = epochs.iter().map(|e| &e.checkpoint).collect();
         if let Some(m) = state.precheck_checkpoint_batch(domain, &refs) {
             return misb(m);
         }
-        // 6. Per-shard chain verification. The baseline is the cached
-        //    per-shard prefix; lacking one (first observation, or a domain
-        //    previously audited only through the single-tree path) the
-        //    first epoch's snapshot is adoptable as-is exactly when it IS
-        //    the already-trusted top-level state — otherwise growth from
-        //    unknown shard states is unverifiable.
+        // 6. Per-shard chain verification from the cached per-shard
+        //    prefix. The walk commits `latest` and the shard prefixes
+        //    together, so no prefix means no verified checkpoint either:
+        //    a first observation.
         let mut prev: Option<Vec<(u64, Digest)>> = match state.cache.shard_prefixes() {
             Some(p) if p.len() == shard_count => Some(p.to_vec()),
             Some(_) => return malformed(domain, "shard count changed across audits"),
-            None => match &state.latest {
-                None => None,
-                Some(trusted) => {
-                    let first = &epochs[0].checkpoint;
-                    if first.body.size == trusted.body.size && first.body.head == trusted.body.head
-                    {
-                        None // adopted below by the first-observation arm
-                    } else {
-                        return misb(Misbehavior::InconsistentGrowth {
-                            domain,
-                            trusted: trusted.clone(),
-                            offered: first.clone(),
-                        });
-                    }
-                }
-            },
+            None => None,
         };
         let mut next_step = vec![0usize; shard_count];
         for e in epochs {
             let Some(prev_states) = &prev else {
-                // First observation: adopt the snapshot without proof,
-                // exactly as `observe` accepts its first checkpoint.
+                // First observation: adopt the snapshot without proof
+                // (trust on first use; gossip and the cross-domain check
+                // catch a first view that differs from everyone else's).
                 prev = Some(
                     e.shards
                         .sizes
@@ -579,7 +483,7 @@ impl Auditor {
             }
             if !advanced {
                 // A re-served epoch (every shard unchanged): nothing to
-                // verify, mirroring the per-step duplicate handling.
+                // verify.
                 state.cache.note_skipped();
             }
             prev = Some(
@@ -624,8 +528,8 @@ impl Auditor {
     /// gap) and feeding them here turns the split view into transferable
     /// evidence.
     ///
-    /// Unlike [`Auditor::observe`], gossip makes no freshness or growth
-    /// demands: the relaying client may legitimately be behind, so only
+    /// Unlike [`Auditor::observe_shard_bundle`], gossip makes no freshness
+    /// or growth demands: the relaying client may legitimately be behind, so only
     /// signature validity and same-size-different-head conflicts matter.
     pub fn ingest_gossip(&mut self, domain: u32, checkpoint: SignedCheckpoint) -> AuditOutcome {
         let Some(state) = self.domains.get_mut(domain as usize) else {

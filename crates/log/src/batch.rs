@@ -9,9 +9,8 @@
 //! * **Across checkpoints** — [`ProofBundle`] packs the consistency
 //!   proofs linking a whole *range* of checkpoints into one object with
 //!   every shared subtree hash stored once
-//!   ([`MerkleLog::prove_consistency_range`]). A domain can hand one
-//!   bundle to a client that is many epochs behind instead of answering
-//!   one `GetConsistency` round-trip per epoch.
+//!   ([`MerkleLog::prove_consistency_range`]). A domain hands one
+//!   bundle to a client that is many epochs behind, in one round-trip.
 //! * **Across audit rounds** — [`VerifiedPrefixCache`] remembers the
 //!   highest `(size, head)` a verifier has already checked, so repeated
 //!   audits of an unchanged log verify nothing at all and audits of a
@@ -20,9 +19,11 @@
 //!   the property tests and benches use to prove the amortisation is
 //!   real.
 //!
-//! [`CheckpointBundle`] is the wire-facing combination of the two: the
-//! signed checkpoints for a range of epochs plus the [`ProofBundle`]
-//! linking them, consumed by `Auditor::observe_bundle`.
+//! [`CheckpointBundle`] is the wire-facing combination of the two for
+//! single-tree logs: the signed checkpoints for a range of epochs plus
+//! the [`ProofBundle`] linking them. `Auditor::observe_bundle` verifies
+//! it as a 1-shard `ShardBundle`, through the same walk as every other
+//! audit.
 
 use crate::checkpoint::SignedCheckpoint;
 use crate::merkle::{ConsistencyProof, MerkleLog};
@@ -213,8 +214,8 @@ impl MerkleLog {
 #[derive(Clone, Debug, Default)]
 pub struct VerifiedPrefixCache {
     verified: Option<(u64, Digest)>,
-    /// Per-shard verified `(size, head)` for sharded logs; empty until the
-    /// first shard-aware audit (legacy single-tree audits never touch it).
+    /// Per-shard verified `(size, head)` (one entry for a single-tree
+    /// log); empty until the first verified bundle.
     shard_verified: Vec<(u64, Digest)>,
     signatures_verified: u64,
     consistency_verified: u64,
@@ -255,7 +256,7 @@ impl VerifiedPrefixCache {
     }
 
     /// The per-shard verified prefixes, or `None` before the first
-    /// shard-aware verification (a legacy single-tree history).
+    /// verified bundle.
     pub fn shard_prefixes(&self) -> Option<&[(u64, Digest)]> {
         if self.shard_verified.is_empty() {
             None
@@ -465,7 +466,7 @@ mod tests {
         }
 
         /// Feeds the bundle to an auditor one checkpoint at a time with
-        /// the matching pairwise proofs — the per-step path.
+        /// the matching pairwise proofs — the `observe` oracle.
         fn feed_sequential(auditor: &mut Auditor, bundle: &CheckpointBundle) -> bool {
             let steps: Vec<ConsistencyProof> = (0..bundle.proof.len())
                 .filter_map(|i| bundle.proof.step(i))

@@ -11,12 +11,14 @@
 //! ([`ShardedLog::prove_shard_head`]) ties any shard head to the signed
 //! commitment.
 //!
-//! **Wire compatibility** is a design invariant, not an accident: a
-//! 1-shard commitment **is** the shard's Merkle root, byte for byte, so
-//! a 1-shard [`ShardedLog`] produces byte-identical checkpoints,
-//! consistency proofs, and audit bundles to the legacy single-tree path
-//! — old auditors accept new 1-shard checkpoints and vice versa
-//! (property-tested in `tests/sharded_log.rs`). A *multi*-shard
+//! **One audit walk** is a design invariant, not an accident: a 1-shard
+//! commitment **is** the shard's Merkle root, byte for byte, so a
+//! 1-shard [`ShardedLog`] produces exactly the checkpoints and
+//! consistency proofs of a plain [`MerkleLog`] (property-tested in
+//! `tests/sharded_log.rs`), and a single-tree
+//! [`crate::batch::CheckpointBundle`] converts losslessly into a 1-shard
+//! [`ShardBundle`] (`From`). The auditor verifies every bundle through
+//! that one sharded walk. A *multi*-shard
 //! commitment is the Merkle root over domain-separated
 //! [`shard_head_leaf`] digests (`H(0x02 ‖ size ‖ head)` — a prefix RFC
 //! 6962 hashing can never produce), so the signed head binds exactly one
@@ -36,7 +38,7 @@
 //! different shards proceed in parallel — the `sharded_append` bench
 //! measures the scaling.
 
-use crate::batch::BundleStep;
+use crate::batch::{BundleStep, CheckpointBundle};
 use crate::checkpoint::SignedCheckpoint;
 use crate::merkle::{
     prove_inclusion_over_hashes, root_over_hashes, CompactRoot, ConsistencyProof, InclusionProof,
@@ -268,6 +270,35 @@ pub struct ShardBundle {
     pub proof: ShardProofBundle,
 }
 
+impl From<CheckpointBundle> for ShardBundle {
+    /// The 1-shard view of a single-tree bundle: every checkpoint becomes
+    /// an epoch whose one shard is the checkpoint's own `(size, head)`
+    /// (a 1-shard commitment is the shard root, so every epoch is well
+    /// formed), and the proof steps become shard 0's run.
+    fn from(bundle: CheckpointBundle) -> Self {
+        let epochs = bundle
+            .checkpoints
+            .into_iter()
+            .map(|checkpoint| ShardEpoch {
+                shards: ShardSnapshot {
+                    sizes: vec![checkpoint.body.size],
+                    heads: vec![checkpoint.body.head],
+                },
+                checkpoint,
+            })
+            .collect();
+        Self {
+            epochs,
+            proof: ShardProofBundle {
+                nodes: bundle.proof.nodes,
+                runs: vec![ShardRun {
+                    steps: bundle.proof.steps,
+                }],
+            },
+        }
+    }
+}
+
 impl Encode for ShardBundle {
     fn encode(&self, out: &mut Vec<u8>) {
         encode_seq(&self.epochs, out);
@@ -436,8 +467,8 @@ impl ShardedLog {
             .sum()
     }
 
-    /// Locks one shard for direct reads (proof generation on the legacy
-    /// 1-shard serving path). Hold briefly; appends to the shard block
+    /// Locks one shard for direct reads (proof generation on the 1-shard
+    /// serving path). Hold briefly; appends to the shard block
     /// while the guard lives.
     pub fn lock_shard(&self, shard: usize) -> MutexGuard<'_, MerkleLog> {
         self.shards[shard].lock_healthy()
@@ -502,8 +533,8 @@ impl ShardedLog {
     }
 
     /// All leaves from global offset `from`, shards concatenated in shard
-    /// order. For one shard this is exactly the legacy `GetLogEntries`
-    /// semantics; for many it is the canonical flattening the wire
+    /// order. For one shard this is simply the log; for many it is the
+    /// canonical flattening the wire
     /// protocol documents. Only the leaves at or past `from` are copied —
     /// an incremental poll near the head costs O(returned), not O(log).
     pub fn all_entries_from(&self, from: u64) -> Option<Vec<Vec<u8>>> {

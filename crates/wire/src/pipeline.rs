@@ -8,12 +8,11 @@
 //! a different id until they are asked for.
 //!
 //! The id lives inside the application payload (the wire framing stays
-//! plain length-prefixed frames), so a pipelined client remains
-//! wire-compatible with servers that answer strictly in order — including
-//! every server in this workspace and, crucially, *old* servers that
-//! reject the new request type with an id-less error frame, which
-//! `recv_matching` surfaces immediately so callers can fall back to the
-//! sequential path.
+//! plain length-prefixed frames), so a pipelined client works with
+//! servers that answer strictly in order — every server in this
+//! workspace. A server that rejects a request with an id-less error
+//! frame is not waited on forever: `recv_matching` surfaces that frame
+//! immediately, so the caller can report it.
 
 use crate::transport::{Transport, TransportError};
 use std::collections::HashMap;

@@ -76,8 +76,8 @@ fn main() {
     // signs `(total_size, shard_heads_root)`, so one signature vouches
     // for every shard at once and a per-shard inclusion proof ties any
     // shard head back to it. This deployment uses the default single
-    // shard, where the commitment IS the tree root (byte-compatible with
-    // pre-shard auditors); `Deployment::launch_sharded(spec, seed, n)`
+    // shard, where the commitment IS the tree root (the client verifies
+    // it as a 1-shard log); `Deployment::launch_sharded(spec, seed, n)`
     // spreads apps across `n` shards for parallel appends, and the same
     // session code audits either layout transparently.
 

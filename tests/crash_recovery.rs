@@ -84,7 +84,7 @@ fn segment_files(dir: &Path) -> Vec<PathBuf> {
 /// segments, returning its directory and a mirror of every prefix root:
 /// `mirror.root_of_prefix(k)` is the commitment the log had at `k` leaves
 /// (for one shard the snapshot commitment IS the tree root, byte for byte
-/// — so this doubles as the legacy wire-format compatibility check).
+/// — so this doubles as the single-tree commitment check).
 fn seeded_log(tag: &str, leaves: usize) -> (PathBuf, MerkleLog) {
     let dir = tempdir(tag);
     let (log, meta) = ShardedLog::open(1, &durable(&dir, 192)).unwrap();

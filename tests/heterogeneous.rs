@@ -109,7 +109,11 @@ fn audit_rejects_vendor_substitution() {
     );
     let report = client.audit(None);
     assert!(!report.is_clean());
-    let failure = report.domains[1].failure.as_ref().expect("flagged");
+    let failure = report.domains[1]
+        .failure
+        .as_ref()
+        .expect("flagged")
+        .to_string();
     assert!(failure.contains("vendor"), "{failure}");
 }
 

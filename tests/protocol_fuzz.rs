@@ -216,7 +216,7 @@ proptest! {
     /// must agree byte-for-byte, since responses are hashed into quotes).
     #[test]
     fn structured_requests_round_trip(
-        tag in 0u8..10,
+        tag in 0u8..7,
         nonce in any::<[u8; 32]>(),
         method in any::<u64>(),
         payload in proptest::collection::vec(any::<u8>(), 0..64),
@@ -226,11 +226,9 @@ proptest! {
             0 => Request::Attest { nonce },
             1 => Request::GetStatus,
             2 => Request::AppCall { method, payload: payload.clone() },
-            3 => Request::GetCheckpoint,
-            4 => Request::GetConsistency { old_size: number },
-            5 => Request::GetLogEntries { from: number },
-            6 => Request::GetNotices { since: number },
-            7 => Request::BatchAudit {
+            3 => Request::GetLogEntries { from: number },
+            4 => Request::GetNotices { since: number },
+            5 => Request::BatchAudit {
                 request_id: method,
                 nonce,
                 verified_size: number,
@@ -448,23 +446,59 @@ fn attest_on_a_tee_domain_answers_with_a_quote() {
 
 #[test]
 fn consistency_proofs_between_installed_epochs_decode_and_verify() {
-    let mut svc = service_with_history(); // log size 3
-    let frame = svc.handle(Request::GetConsistency { old_size: 1 }.to_wire());
-    match Response::from_wire(&frame).expect("decodes") {
-        Response::Consistency(p) => {
-            assert_eq!((p.old_size, p.new_size), (1, 3));
-            // Canonical encoding: the decoded proof re-encodes to the
-            // server's exact bytes.
-            assert_eq!(Response::Consistency(p).to_wire(), frame);
+    // The service's log has size 3; heads come from the full bundle.
+    let bundle = |verified_size| {
+        let frame = batch_audit_response_frame(verified_size);
+        let response = Response::from_wire(&frame).expect("decodes");
+        // Canonical encoding: the decoded answer re-encodes to the
+        // server's exact bytes.
+        assert_eq!(response.to_wire(), frame);
+        match response {
+            Response::AuditBundle(b) => b.bundle,
+            other => panic!("expected an audit bundle, got {other:?}"),
         }
-        other => panic!("expected consistency proof, got {other:?}"),
+    };
+    let heads: Vec<[u8; 32]> = bundle(0)
+        .checkpoints
+        .iter()
+        .map(|cp| cp.body.head)
+        .collect();
+    assert_eq!(heads.len(), 3);
+    // From a verified size of 1: one step per transition, 1→2→3.
+    let from_one = bundle(1);
+    for (i, (old, new)) in [(1u64, 2u64), (2, 3)].into_iter().enumerate() {
+        let step = from_one.proof.step(i).expect("step expands");
+        assert_eq!((step.old_size, step.new_size), (old, new));
+        assert!(step.verify(&heads[old as usize - 1], &heads[new as usize - 1]));
     }
-    // Past the head: an error frame, still decodable.
-    let frame = svc.handle(Request::GetConsistency { old_size: 99 }.to_wire());
-    assert!(matches!(
-        Response::from_wire(&frame),
-        Ok(Response::Error(_))
-    ));
+    // Past the head: the latest checkpoint alone, no proof.
+    let past = bundle(5);
+    assert_eq!(past.checkpoints.len(), 1);
+    assert!(past.proof.is_empty());
+}
+
+#[test]
+fn retired_tags_stay_retired() {
+    // Request tags 4/5 and response tags 7/8 carried the per-step
+    // checkpoint and consistency messages. Their old frames, byte for
+    // byte, must no longer decode, so no future message can silently
+    // take over a tag an old peer still sends.
+    let mut old_proof = Vec::new();
+    1u64.encode(&mut old_proof);
+    3u64.encode(&mut old_proof);
+    distrust::wire::codec::encode_seq(&[[7u8; 32]], &mut old_proof);
+    let frame = |tag: u8, body: &[u8]| [&[tag][..], body].concat();
+    for request in [frame(4, &[]), frame(5, &3u64.to_le_bytes())] {
+        assert!(Request::from_wire(&request).is_err());
+        let answer = Response::from_wire(&service().handle(request)).expect("decodes");
+        assert!(matches!(answer, Response::Error(_)), "{answer:?}");
+    }
+    for response in [
+        frame(7, &gossip_checkpoint(0, 1, 3).to_wire()),
+        frame(8, &old_proof),
+    ] {
+        assert!(Response::from_wire(&response).is_err());
+    }
 }
 
 #[test]
@@ -538,12 +572,6 @@ fn every_request_variant_gets_a_sensible_answer_without_an_app() {
             },
             |r| matches!(r, Response::AppError(_)),
         ),
-        (Request::GetCheckpoint, |r| {
-            matches!(r, Response::Checkpoint(_))
-        }),
-        (Request::GetConsistency { old_size: 99 }, |r| {
-            matches!(r, Response::Error(_))
-        }),
         (Request::GetLogEntries { from: 0 }, |r| {
             matches!(r, Response::LogEntries(_))
         }),

@@ -1,24 +1,24 @@
-//! Sharded-log integration: the 1-shard compatibility contract and the
-//! multi-shard deployment path, end to end.
+//! Sharded-log integration: the 1-shard contract and the multi-shard
+//! deployment path, end to end.
 //!
-//! The sharding tentpole's acceptance criterion is that a 1-shard
-//! [`ShardedLog`] is **wire- and proof-compatible** with the pre-shard
-//! single-tree format: an auditor built for the legacy path accepts new
-//! 1-shard checkpoints and bundles, and vice versa, byte for byte. Beyond
-//! one shard, deployments sign shard-head commitments, serve
-//! `ShardAuditBundle`s, and clients track per-shard verified prefixes —
-//! all exercised here over real sockets.
+//! A 1-shard [`ShardedLog`] is **proof-compatible** with a plain
+//! single-tree [`MerkleLog`]: identical checkpoints and consistency
+//! proofs, byte for byte, so one auditor accepts bundles built from
+//! either. Beyond one shard, deployments sign shard-head commitments,
+//! serve `ShardAuditBundle`s, and clients track per-shard verified
+//! prefixes — all exercised here over real sockets.
 
 use distrust::core::abi::{AppHost, NoImports, HANDLE_EXPORT, OUTBOX_ADDR};
 use distrust::core::session::TrustPolicy;
 use distrust::core::{AppSpec, Deployment, Request, Response};
 use distrust::crypto::schnorr::SigningKey;
-use distrust::log::auditor::Auditor;
-use distrust::log::batch::{CheckpointBundle, ProofBundle};
+use distrust::log::auditor::{AuditOutcome, Auditor, Misbehavior};
+use distrust::log::batch::CheckpointBundle;
 use distrust::log::checkpoint::{log_id, CheckpointBody, SignedCheckpoint};
-use distrust::log::StorageConfig;
+use distrust::log::shard::{ShardBundle, ShardEpoch};
 use distrust::log::{MerkleLog, ShardedLog};
 use distrust::sandbox::{FuncBuilder, Limits, Module, ModuleBuilder};
+use distrust::wire::codec::encode_seq;
 use distrust::wire::Encode;
 use proptest::prelude::*;
 
@@ -56,8 +56,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// For a random append sequence, a 1-shard `ShardedLog` produces
-    /// byte-identical checkpoint bodies and consistency proofs to the
-    /// legacy single `MerkleLog` — the invariant old/new interop rests on.
+    /// byte-identical checkpoint bodies and consistency proofs to a plain
+    /// single `MerkleLog`.
     #[test]
     fn one_shard_log_is_byte_identical_to_legacy(
         leaf_count in 1usize..40,
@@ -96,10 +96,9 @@ proptest! {
         }
     }
 
-    /// Cross-acceptance: an auditor fed by a **legacy** server (plain
-    /// MerkleLog bundles) and one fed by a **new 1-shard** server accept
-    /// each other's artifacts interchangeably — one auditor consumes an
-    /// alternating mix of both and stays consistent throughout.
+    /// Cross-acceptance: bundles built from a plain `MerkleLog` and from
+    /// a 1-shard `ShardedLog` are interchangeable — one auditor consumes
+    /// an alternating mix of both and stays consistent throughout.
     #[test]
     fn old_and_new_one_shard_bundles_interoperate(ops in proptest::collection::vec(any::<bool>(), 1..10)) {
         let sk = SigningKey::derive(b"interop", b"cp");
@@ -153,7 +152,7 @@ proptest! {
             prop_assert!(
                 auditor.observe_bundle(0, &bundle).is_consistent(),
                 "bundle from {} server rejected at epoch {i}",
-                if *from_new_server { "new 1-shard" } else { "legacy" }
+                if *from_new_server { "1-shard" } else { "plain" }
             );
             prop_assert_eq!(auditor.latest(0).unwrap().body.size, (i + 1) as u64);
         }
@@ -161,14 +160,18 @@ proptest! {
 }
 
 /// `ConsistencyProof` has no standalone Encode impl (it rides inside
-/// responses); compare the canonical response encoding instead.
+/// proof bundles as pool indices); compare its canonical field encoding.
 trait WireProof {
     fn to_wire_proof(&self) -> Vec<u8>;
 }
 
 impl WireProof for distrust::log::ConsistencyProof {
     fn to_wire_proof(&self) -> Vec<u8> {
-        Response::Consistency(self.clone()).to_wire()
+        let mut out = Vec::new();
+        self.old_size.encode(&mut out);
+        self.new_size.encode(&mut out);
+        encode_seq(&self.path, &mut out);
+        out
     }
 }
 
@@ -176,16 +179,12 @@ impl WireProof for distrust::log::ConsistencyProof {
 fn sharded_deployment_audits_clean_end_to_end() {
     // A real 4-shard deployment over real sockets: audits flow through
     // `Response::ShardAuditBundle`, clients track per-shard prefixes, and
-    // sessions gate trust exactly as on the legacy layout.
+    // sessions gate trust exactly as on the 1-shard layout.
     let mut deployment = launch_sharded(b"sharded e2e", 3, 4);
     let mut client = deployment.client(b"auditor");
 
     let report = client.audit(Some(&deployment.initial_app_digest));
     assert!(report.is_clean(), "{report:?}");
-    assert!(
-        report.domains.iter().all(|d| d.batched),
-        "sharded audits must ride the batched path: {report:?}"
-    );
     // The auditor tracked per-shard prefixes for every domain.
     for d in 0..3u32 {
         let cache = client.auditor_prefix_cache(d).expect("domain exists");
@@ -228,7 +227,7 @@ fn sharded_deployment_audits_clean_end_to_end() {
     assert_eq!(session.call(1, 1, &[5]).unwrap(), vec![205u8]);
     drop(session);
 
-    // Old-style clients can still fetch the flattened log.
+    // The flattened log is still served.
     let entries = client.log_entries(0, 0).unwrap();
     assert_eq!(entries.len(), 2, "v1 + v2 digests");
 
@@ -237,9 +236,10 @@ fn sharded_deployment_audits_clean_end_to_end() {
 
 #[test]
 fn shard_entries_and_fallback() {
-    // New request against a sharded deployment: per-shard slices come
-    // back; out-of-range shards error; and on a 1-shard deployment shard 0
-    // equals the legacy whole-log fetch.
+    // Against a sharded deployment: per-shard slices concatenate to the
+    // flattened log; out-of-range shards and offsets surface the server's
+    // error, with no fallback to the flattened log; and on a 1-shard
+    // deployment shard 0 is the whole log.
     let sharded = launch_sharded(b"shard entries", 2, 4);
     let mut client = sharded.client(b"reader");
     let flattened = client.log_entries(0, 0).unwrap();
@@ -253,10 +253,6 @@ fn shard_entries_and_fallback() {
         client.shard_entries(0, 9, 0).is_err(),
         "out-of-range shard must error"
     );
-    // An out-of-range offset within a real shard surfaces the server's
-    // error — it must NOT fall back to the globally-flattened log and
-    // present that as shard data (shard-aware servers only get the
-    // fallback on the "malformed request" frame old servers answer with).
     let routed = ShardedLog::new(4).shard_for(b"adder");
     for s in 0..4u32 {
         if s == routed {
@@ -264,12 +260,12 @@ fn shard_entries_and_fallback() {
         }
         assert!(
             client.shard_entries(0, s, 1).is_err(),
-            "offset past empty shard {s} must error, not fall back"
+            "offset past empty shard {s} must error"
         );
     }
 
-    let legacy = launch_sharded(b"shard entries legacy", 2, 1);
-    let mut client = legacy.client(b"reader");
+    let single = launch_sharded(b"shard entries single", 2, 1);
+    let mut client = single.client(b"reader");
     assert_eq!(
         client.shard_entries(0, 0, 0).unwrap(),
         client.log_entries(0, 0).unwrap(),
@@ -278,74 +274,63 @@ fn shard_entries_and_fallback() {
 }
 
 #[test]
-fn shard_unaware_prefix_relinks_through_batched_audit() {
-    // A verifier can trust a sharded domain's `(size, head)` without ever
-    // having seen its per-shard decomposition — e.g. its previous round
-    // fell back to the per-step path (`GetCheckpoint` serves the plain
-    // top-level checkpoint). The next batched audit must re-link: the
-    // server leads the bundle with the client's verified epoch (snapshot
-    // included, binding checked against the already-trusted head), so the
-    // walk re-learns the baseline instead of wedging into a permanent
-    // false `InconsistentGrowth`.
-    use distrust::core::abi::NoImports as Host;
-    use distrust::core::framework::{EnclaveFramework, FrameworkConfig};
-    let dev = SigningKey::derive(b"relink", b"dev");
-    let cp_key = SigningKey::derive(b"relink", b"cp");
-    let cp_vk = cp_key.verifying_key();
-    let mut fw = EnclaveFramework::open(
-        FrameworkConfig {
-            domain_index: 0,
-            app_name: "adder".into(),
-            developer_key: dev.verifying_key(),
-            log_id: log_id(b"relink", 0),
-            limits: Limits::default(),
-            log_shards: 4,
-            storage: StorageConfig::Ephemeral,
-        },
-        None,
-        cp_key,
-        Box::new(Host),
-    )
-    .unwrap();
-    let v1 = distrust::core::SignedRelease::create("adder", 1, "", &adder_module(100), &dev);
-    fw.apply_update(&v1).expect("v1 applies");
-
-    // Legacy-path observation: top-level checkpoint only, no shard info.
-    let mut auditor = Auditor::new(vec![cp_vk]);
-    let cp = fw.checkpoint().unwrap();
-    assert!(auditor.observe(0, cp, None).is_consistent());
-    assert!(
-        auditor.prefix_cache(0).unwrap().shard_prefixes().is_none(),
-        "per-step path learns no shard decomposition"
-    );
-
-    // The log grows; the batched round must re-link from the trusted
-    // (but shard-opaque) prefix.
-    let v2 = distrust::core::SignedRelease::create("adder", 2, "", &adder_module(200), &dev);
-    fw.apply_update(&v2).expect("v2 applies");
-    let verified = auditor.latest(0).unwrap().body.size;
-    let bundle = match fw.handle(Request::BatchAudit {
-        request_id: 1,
-        nonce: [1; 32],
-        verified_size: verified,
-    }) {
-        Response::ShardAuditBundle(b) => b.bundle,
-        other => panic!("expected sharded bundle, got {other:?}"),
+fn one_shard_prefix_refuses_multi_shard_bundle() {
+    // An auditor that verified a domain as a 1-shard log holds a 1-shard
+    // prefix. A bundle later claiming a 4-shard decomposition of that
+    // domain's log — even a correctly signed, well-formed one — cannot be
+    // linked to that prefix, and is refused as malformed.
+    let key = SigningKey::derive(b"reshard", b"cp");
+    let lid = log_id(b"reshard", 0);
+    let sign = |size: u64, head: [u8; 32], time: u64| {
+        SignedCheckpoint::sign(
+            CheckpointBody {
+                log_id: lid,
+                size,
+                head,
+                logical_time: time,
+            },
+            &key,
+        )
     };
-    assert!(
-        auditor.observe_shard_bundle(0, &bundle).is_consistent(),
-        "shard-unaware prefix must re-link, not wedge"
-    );
-    assert_eq!(auditor.latest(0).unwrap().body.size, 2);
-    assert!(auditor.prefix_cache(0).unwrap().shard_prefixes().is_some());
+    let mut auditor = Auditor::new(vec![key.verifying_key()]);
+    let mut plain = MerkleLog::new();
+    plain.append(b"v1");
+    let single = CheckpointBundle {
+        checkpoints: vec![sign(1, plain.root(), 1)],
+        proof: Default::default(),
+    };
+    assert!(auditor.observe_bundle(0, &single).is_consistent());
+    let prefixes = auditor.prefix_cache(0).unwrap().shard_prefixes().unwrap();
+    assert_eq!(prefixes.len(), 1, "the single-tree walk is a 1-shard walk");
+
+    let sharded = ShardedLog::new(4);
+    sharded.append(0, b"v1").unwrap();
+    sharded.append(1, b"v2").unwrap();
+    let snapshot = sharded.snapshot();
+    let bundle = ShardBundle {
+        epochs: vec![ShardEpoch {
+            checkpoint: sign(snapshot.total(), snapshot.commitment(), 2),
+            shards: snapshot,
+        }],
+        proof: sharded.prove_shard_runs(&[0; 4], &[]).unwrap(),
+    };
+    assert!(bundle.epochs[0].well_formed());
+    match auditor.observe_shard_bundle(0, &bundle) {
+        AuditOutcome::Misbehavior(m) => match *m {
+            Misbehavior::MalformedBundle { reason, .. } => {
+                assert!(reason.contains("shard count"), "reason: {reason}")
+            }
+            other => panic!("expected a malformed bundle, got {other:?}"),
+        },
+        AuditOutcome::Consistent => panic!("a 4-shard bundle linked to a 1-shard prefix"),
+    }
+    assert_eq!(auditor.latest(0).unwrap().body.size, 1, "nothing committed");
 }
 
 #[test]
 fn one_shard_deployment_byte_compatible_on_the_wire() {
-    // The serving side of the compatibility contract: a 1-shard
-    // deployment answers BatchAudit with the *legacy* bundle shape (tag
-    // 12) and GetConsistency with real proofs — nothing about sharding
-    // leaks into the wire format old clients parse.
+    // A 1-shard deployment answers BatchAudit with the single-tree bundle
+    // shape (tag 12); a multi-shard one with the sharded shape (tag 13).
     let deployment = launch_sharded(b"one shard wire", 2, 1);
     let mut client = deployment.client(b"prober");
     match client
@@ -360,7 +345,7 @@ fn one_shard_deployment_byte_compatible_on_the_wire() {
         .unwrap()
     {
         Response::AuditBundle(b) => assert_eq!(b.request_id, 42),
-        other => panic!("1-shard deployment must answer the legacy bundle, got {other:?}"),
+        other => panic!("1-shard deployment must answer the single-tree bundle, got {other:?}"),
     }
     // And the multi-shard deployment answers the sharded shape.
     let deployment = launch_sharded(b"four shard wire", 2, 4);
@@ -382,54 +367,4 @@ fn one_shard_deployment_byte_compatible_on_the_wire() {
         }
         other => panic!("4-shard deployment must answer the sharded bundle, got {other:?}"),
     }
-}
-
-#[test]
-fn legacy_per_step_audit_still_works_on_one_shard_deployment() {
-    // An "old client" that never sends BatchAudit (per-step path only)
-    // must audit a new 1-shard deployment unchanged.
-    let deployment = launch_sharded(b"per-step compat", 2, 1);
-    let mut client = deployment.client(b"old-auditor");
-    let mut auditor = Auditor::new(
-        deployment
-            .descriptor
-            .domains
-            .iter()
-            .map(|d| d.checkpoint_key)
-            .collect(),
-    );
-    for d in 0..2u32 {
-        let cp = match client.exchange(d, &Request::GetCheckpoint).unwrap() {
-            Response::Checkpoint(cp) => cp,
-            other => panic!("unexpected {other:?}"),
-        };
-        assert!(auditor.observe(d, cp, None).is_consistent());
-    }
-    // Growth with a per-step consistency proof.
-    let release = deployment.sign_release(2, "v2", &adder_module(200));
-    let mut dev_client = deployment.client(b"developer");
-    for result in dev_client.push_update(&release) {
-        result.expect("accepted");
-    }
-    for d in 0..2u32 {
-        let proof = match client
-            .exchange(d, &Request::GetConsistency { old_size: 1 })
-            .unwrap()
-        {
-            Response::Consistency(p) => p,
-            other => panic!("unexpected {other:?}"),
-        };
-        let cp = match client.exchange(d, &Request::GetCheckpoint).unwrap() {
-            Response::Checkpoint(cp) => cp,
-            other => panic!("unexpected {other:?}"),
-        };
-        assert!(
-            auditor.observe(d, cp, Some(&proof)).is_consistent(),
-            "per-step audit of domain {d} failed"
-        );
-    }
-
-    // An empty `ProofBundle` (what an old client's tooling would build
-    // from the per-step responses) is accepted by the batched ingest too.
-    let _ = ProofBundle::default();
 }

@@ -1,4 +1,4 @@
-//! Split-view detection through client gossip, plus batched-path
+//! Split-view detection through client gossip, plus bundle
 //! regressions.
 //!
 //! The strongest attack an equivocating domain can mount is to keep every
@@ -8,10 +8,10 @@
 //! Certificate Transparency relies on, which the paper inherits by
 //! building on CT-style logs.
 //!
-//! Since the batched audit landed, misbehavior can also hide *inside* a
-//! proof bundle (two conflicting checkpoints in one response) or behind a
-//! stale server-side bundle cache; both must be flagged exactly as the
-//! per-step path would flag them.
+//! Misbehavior can also hide *inside* a proof bundle (two conflicting
+//! checkpoints in one response) or behind a stale server-side bundle
+//! cache; both must be flagged with the same evidence as two separate
+//! checkpoints would be.
 
 use distrust::core::protocol::{AuditBundle, BundleAttestation, Request, Response};
 use distrust::core::server::DirectHost;
@@ -129,10 +129,6 @@ fn gossip_exposes_split_view() {
         report_a.misbehavior.is_empty(),
         "client A alone sees a consistent view: {report_a:?}"
     );
-    assert!(
-        report_a.domains[0].batched,
-        "this domain speaks the batched audit"
-    );
 
     // Client B audits: sees branch 1 ([0xbb]) — also internally consistent.
     let mut client_b = client(&descriptor, b"client b");
@@ -208,9 +204,10 @@ impl EnclaveService for EquivocatingBundleDomain {
 
 #[test]
 fn equivocation_inside_one_bundle_yields_transferable_proof() {
-    // In the per-step path this fork needs two audits (or two clients +
-    // gossip) to surface; a bundle carrying both checkpoints convicts the
-    // domain in a single round, with the same transferable evidence.
+    // Served one checkpoint per audit, this fork needs two audits (or two
+    // clients + gossip) to surface; a bundle carrying both checkpoints
+    // convicts the domain in a single round, with the same transferable
+    // evidence.
     let key = SigningKey::derive(b"bundle equivocation", b"checkpoint");
     let lid = log_id(b"bundle-equiv-deploy", 0);
     let mut host = DirectHost::spawn(EquivocatingBundleDomain { key, log_id: lid }).expect("spawn");
@@ -218,7 +215,6 @@ fn equivocation_inside_one_bundle_yields_transferable_proof() {
 
     let mut auditor = client(&descriptor, b"auditor");
     let report = auditor.audit(None);
-    assert!(report.domains[0].batched, "served via the batched path");
     let proof = report
         .misbehavior
         .iter()
@@ -227,8 +223,7 @@ fn equivocation_inside_one_bundle_yields_transferable_proof() {
             _ => None,
         })
         .expect("in-bundle equivocation flagged");
-    // Exactly the evidence the per-step path produces: publicly
-    // verifiable from bytes alone.
+    // Publicly verifiable from bytes alone.
     let transported =
         distrust::log::checkpoint::EquivocationProof::from_wire(&proof.to_wire()).expect("decodes");
     assert!(transported.verify(&key.verifying_key()));
@@ -321,8 +316,8 @@ fn stale_cached_prefix_is_flagged_as_rollback() {
         first.misbehavior.is_empty() && first.domains[0].failure.is_none(),
         "fresh view is consistent: {first:?}"
     );
-    // Second audit gets the stale size-1 bundle: exactly what the
-    // per-step path flags when a checkpoint goes backwards.
+    // Second audit gets the stale size-1 bundle: a checkpoint going
+    // backwards.
     let second = auditor.audit(None);
     assert!(
         second.misbehavior.iter().any(|m| matches!(
@@ -342,8 +337,7 @@ fn stale_cached_prefix_is_flagged_as_rollback() {
 
 #[test]
 fn gossip_between_honest_clients_is_quiet() {
-    // Against an honest deployment, gossip produces no evidence — and the
-    // real servers all answer the batched audit, no fallback.
+    // Against an honest deployment, gossip produces no evidence.
     let deployment = distrust::core::Deployment::launch(
         distrust::apps::analytics::app_spec(3),
         b"honest gossip seed",
@@ -353,8 +347,7 @@ fn gossip_between_honest_clients_is_quiet() {
     let mut b = deployment.client(b"client b");
     assert!(a.audit(None).is_clean());
     assert!(b.audit(None).is_clean());
-    assert_eq!(a.audit_stats().batched_domains, 3);
-    assert_eq!(a.audit_stats().fallback_domains, 0);
+    assert_eq!(a.audit_stats().audited_domains, 3);
     assert!(a.ingest_gossip(&b.gossip_payload()).is_empty());
     assert!(b.ingest_gossip(&a.gossip_payload()).is_empty());
 }

@@ -65,7 +65,7 @@ fn thin_client_trusts_via_one_cosignature() {
         .expect("head installed");
 
     // The thin client's whole trust establishment: one aggregated
-    // signature verification. Zero audit traffic, batched or legacy.
+    // signature verification. Zero audit traffic.
     let mut thin = deployment.client(b"thin client");
     let mut session = thin.session(TrustPolicy::witnessed(quorum.public_key, 2));
     session
@@ -84,8 +84,7 @@ fn thin_client_trusts_via_one_cosignature() {
     );
     let stats = session.client().audit_stats();
     assert_eq!(
-        (stats.batched_domains, stats.fallback_domains),
-        (0, 0),
+        stats.audited_domains, 0,
         "the witnessed session never audited any domain"
     );
 
