@@ -9,7 +9,7 @@
 //!
 //! Simplification vs. Prio proper: no zero-knowledge range proofs on
 //! submissions (SNIPs); a malicious client can skew totals but privacy is
-//! unaffected. Documented in DESIGN.md.
+//! unaffected.
 //!
 //! Method ids: `1` = submit (payload = `k` little-endian u64 shares), `2`
 //! = aggregate (response = `k` u64 totals), `3` = submission count.

@@ -12,8 +12,10 @@
 //! thousands of guest↔host boundary crossings and interpreted control flow
 //! that the paper's Table 3 prices). The share itself lives host-side,
 //! sealed to the trust domain; partial signatures leave through the guest
-//! outbox, are verified against Feldman commitments client-side, and
-//! aggregate into a standard BLS signature under the group public key.
+//! outbox, and aggregate client-side into a standard BLS signature under
+//! the group public key; the Feldman commitments let the client check each
+//! partial on its own when an aggregate fails and it must find the domain
+//! at fault.
 //!
 //! Method ids: `1` = sign (payload = message bytes, response = 48-byte
 //! compressed partial signature), `2` = share index (1 byte).
@@ -362,7 +364,8 @@ pub fn setup<R: rand::RngCore + ?Sized>(
 ) -> Result<(AppSpec, ThresholdPublic), ThresholdError> {
     let keys = threshold::generate(t, n, rng)?;
     // Every share holder verifies its share against the commitments before
-    // accepting it (Feldman VSS — see DESIGN.md §5).
+    // accepting it (Feldman VSS), so a dealer cannot hand out shares that
+    // do not interpolate to the group key.
     for share in &keys.shares {
         assert!(
             keys.commitments.verify_share(share),
@@ -425,8 +428,10 @@ impl core::fmt::Display for SignError {
 impl std::error::Error for SignError {}
 
 /// Client-side signing orchestration: request partial signatures from
-/// domains, verify each against the Feldman commitments, aggregate the
-/// first `t` valid ones, and verify the result under the group key.
+/// domains, combine the first `t` well-formed ones, and verify the result
+/// under the group key. Partials are checked one by one against the
+/// Feldman commitments only when the combined signature fails, to find and
+/// route around the domains that sent bad ones (see [`Self::sign`]).
 pub struct ThresholdSigningClient {
     /// Public parameters.
     pub public: ThresholdPublic,
@@ -469,14 +474,53 @@ impl ThresholdSigningClient {
     /// The message is broadcast to every domain in one pipelined fan-out
     /// under [`distrust_core::QuorumPolicy::Threshold`]`(t)` (via
     /// [`Session::fanout_collect`]): all `n` sign requests are in flight
-    /// at once and the call returns as soon as `t` valid partials arrive
-    /// — a slow or dead domain does not delay the signature as long as
-    /// `t` domains are healthy. Each collected partial is verified
-    /// against the Feldman commitments before it counts; domains whose
-    /// responses were abandoned are re-asked if some partials fail
-    /// verification.
+    /// at once and the call returns as soon as `t` well-formed partials
+    /// arrive — a slow or dead domain does not delay the signature as long
+    /// as `t` domains are healthy. Well-formed means 48 bytes that decode
+    /// to a point on the curve and in the prime-order subgroup. The client
+    /// Lagrange-combines those `t` partials and verifies the aggregate
+    /// under the group key: one pairing check per signature.
+    ///
+    /// Only if that fails does the blame path run: a second fan-out that
+    /// verifies each partial against the Feldman commitments before it
+    /// counts, drops the bad ones, re-asks domains whose answers were
+    /// abandoned, and combines and verifies the first `t` valid partials.
+    ///
+    /// Skipping the per-partial checks on the first try loses nothing. The
+    /// output is always verified under the group key, and a BLS signature
+    /// is unique, so whatever is returned is the group signature. The
+    /// aggregate is `Σ λᵢσᵢ` with fixed, nonzero Lagrange weights `λᵢ` and
+    /// every `σᵢ` in the prime-order subgroup, so it misses the group
+    /// signature by `Σ λᵢ(σᵢ − σᵢ*)`, where `σᵢ*` is the valid partial.
+    /// One wrong partial makes that sum nonzero; cancelling it takes a
+    /// second wrong partial chosen against the first, that is two colluding
+    /// domains among the `t`, and `t` colluders already hold the key. So
+    /// with fewer than `t` corrupt domains among the combined partials the
+    /// aggregate verifies if and only if every one of them is valid, and a
+    /// single bad partial sends the call down the blame path.
+    ///
+    /// Errors, all from the blame path except a session failure on the
+    /// first fan-out:
+    /// - [`SignError::Client`]: the session could not run the fan-out (for
+    ///   example, its gating audit failed).
+    /// - [`SignError::NotEnoughPartials`]: fewer than `t` domains answered
+    ///   with partials that verify against the commitments.
+    /// - [`SignError::Threshold`]: the valid partials could not be combined
+    ///   (duplicate share indices).
+    /// - [`SignError::AggregateInvalid`]: `t` valid partials combined to a
+    ///   signature the group key rejects.
     pub fn sign(&self, session: &mut Session<'_>, message: &[u8]) -> Result<Signature, SignError> {
         let t = self.public.threshold;
+        let partials = session
+            .fanout_collect(METHOD_SIGN, message.to_vec(), t, |d, payload| {
+                Self::parse_partial(d, payload).ok()
+            })
+            .map_err(SignError::Client)?;
+        if let Ok(signature) = self.combine(message, &partials) {
+            return Ok(signature);
+        }
+        // Blame path: verify each partial so bad ones are dropped and the
+        // domains that sent them are routed around.
         let partials = session
             .fanout_collect(METHOD_SIGN, message.to_vec(), t, |d, payload| {
                 Self::parse_partial(d, payload)
@@ -484,13 +528,24 @@ impl ThresholdSigningClient {
                     .filter(|p| threshold::verify_partial(&self.public.commitments, message, p))
             })
             .map_err(SignError::Client)?;
+        self.combine(message, &partials)
+    }
+
+    /// Lagrange-combines the first `t` partials and verifies the result
+    /// under the group key.
+    fn combine(
+        &self,
+        message: &[u8],
+        partials: &[PartialSignature],
+    ) -> Result<Signature, SignError> {
+        let t = self.public.threshold;
         if partials.len() < t {
             return Err(SignError::NotEnoughPartials {
                 got: partials.len(),
                 need: t,
             });
         }
-        let signature = threshold::aggregate(t, &partials).map_err(SignError::Threshold)?;
+        let signature = threshold::aggregate(t, partials).map_err(SignError::Threshold)?;
         if !self.public.public_key.verify(message, &signature) {
             return Err(SignError::AggregateInvalid);
         }

@@ -1,7 +1,8 @@
 //! # distrust-bench
 //!
 //! Shared harness for regenerating the paper's evaluation (Table 3) and
-//! the ablation benchmarks listed in DESIGN.md §4.
+//! the ablation benchmarks under `benches/` (README.md, "Verifying", says
+//! what each measures).
 //!
 //! The heart of this crate is [`environments`]: the three execution
 //! environments of Table 3, built so that the *only* difference between

@@ -319,8 +319,8 @@ impl G1Projective {
 ///
 /// **Not constant time**: the iteration count leaks information about the
 /// (public) message. Do not use for secret inputs. Standards-track
-/// deployments should use SSWU; this repository documents the substitution
-/// in DESIGN.md.
+/// deployments should use SSWU (RFC 9380); try-and-increment is used here
+/// because it needs nothing beyond an `Fp` square root.
 pub fn hash_to_g1(msg: &[u8], dst: &[u8]) -> G1Projective {
     for ctr in 0u16..=1024 {
         let ctr_bytes = ctr.to_be_bytes();

@@ -114,22 +114,28 @@ fn ell(f: &Fp12, coeffs: &(Fp2, Fp2, Fp2), p: &G1Affine) -> Fp12 {
     f.mul_by_014(&coeffs.2, &c1, &c0)
 }
 
-/// The Miller loop, producing the unreduced pairing value.
-fn miller_loop(p: &G1Affine, q: &G2Affine) -> Fp12 {
-    if p.infinity || q.infinity {
-        return Fp12::ONE;
-    }
-    let mut r = G2Projective::from(*q);
+/// The multi-Miller loop, producing the unreduced value of `∏ e(p_i, q_i)`.
+/// All terms share one squaring chain: each iteration squares `f` once and
+/// then multiplies in every term's line evaluations. A term with a point at
+/// infinity pairs to the identity and is skipped.
+fn multi_miller_loop(pairs: &[(G1Affine, G2Affine)]) -> Fp12 {
+    let mut terms: Vec<(&G1Affine, &G2Affine, G2Projective)> = pairs
+        .iter()
+        .filter(|(p, q)| !p.infinity && !q.infinity)
+        .map(|(p, q)| (p, q, G2Projective::from(*q)))
+        .collect();
     let mut f = Fp12::ONE;
     // Iterate over the bits of |BLS_X| below the most significant one.
     let top = 63 - BLS_X.leading_zeros() as usize;
     for i in (0..top).rev() {
         f = f.square();
-        let coeffs = doubling_step(&mut r);
-        f = ell(&f, &coeffs, p);
-        if (BLS_X >> i) & 1 == 1 {
-            let coeffs = addition_step(&mut r, q);
+        for (p, q, r) in terms.iter_mut() {
+            let coeffs = doubling_step(r);
             f = ell(&f, &coeffs, p);
+            if (BLS_X >> i) & 1 == 1 {
+                let coeffs = addition_step(r, q);
+                f = ell(&f, &coeffs, p);
+            }
         }
     }
     // x < 0: conjugate.
@@ -236,25 +242,20 @@ fn final_exponentiation(f: &Fp12) -> Gt {
 
 /// Computes the pairing `e(p, q)`.
 pub fn pairing(p: &G1Affine, q: &G2Affine) -> Gt {
-    final_exponentiation(&miller_loop(p, q))
+    multi_pairing(&[(*p, *q)])
 }
 
-/// Computes `∏ e(p_i, q_i)` with a shared final exponentiation — the shape
-/// used by batched signature verification.
+/// Computes `∏ e(p_i, q_i)` with one multi-Miller loop and a shared final
+/// exponentiation — the shape used by batched signature verification.
 pub fn multi_pairing(pairs: &[(G1Affine, G2Affine)]) -> Gt {
-    let mut f = Fp12::ONE;
-    for (p, q) in pairs {
-        f = f.mul(&miller_loop(p, q));
-    }
-    final_exponentiation(&f)
+    final_exponentiation(&multi_miller_loop(pairs))
 }
 
 /// Checks `e(a1, a2) == e(b1, b2)` using the product trick:
-/// `e(a1, a2)·e(-b1, b2) == 1`. One final exponentiation total.
+/// `e(a1, a2)·e(-b1, b2) == 1`. One Miller loop and one final
+/// exponentiation total.
 pub fn pairing_equality(a1: &G1Affine, a2: &G2Affine, b1: &G1Affine, b2: &G2Affine) -> bool {
-    let f1 = miller_loop(a1, a2);
-    let f2 = miller_loop(&b1.neg(), b2);
-    final_exponentiation(&f1.mul(&f2)).is_identity()
+    multi_pairing(&[(*a1, *a2), (b1.neg(), *b2)]).is_identity()
 }
 
 #[cfg(test)]
@@ -338,6 +339,21 @@ mod tests {
         let combined = multi_pairing(&[(p1, q), (p2, q)]);
         let separate = pairing(&p1, &q).mul(&pairing(&p2, &q));
         assert_eq!(combined, separate);
+    }
+
+    #[test]
+    fn multi_pairing_skips_terms_at_infinity() {
+        let mut rng = HmacDrbg::new(b"pairing", b"multi-infinity");
+        let p1 = G1Projective::random(&mut rng).to_affine();
+        let p2 = G1Projective::random(&mut rng).to_affine();
+        let q1 = G2Affine::generator();
+        let q2 = G2Projective::generator().double().to_affine();
+        let terms = [(p1, q1), (G1Affine::identity(), q2), (p2, q2)];
+        let separate = terms
+            .iter()
+            .fold(Gt::IDENTITY, |acc, (p, q)| acc.mul(&pairing(p, q)));
+        assert_eq!(multi_pairing(&terms), separate);
+        assert!(!separate.is_identity());
     }
 
     #[test]

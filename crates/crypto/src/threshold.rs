@@ -5,7 +5,8 @@
 //! domain stores a secret key share, and the trust domains can jointly sign
 //! a message" (§5). We implement a trusted-dealer setup hardened with
 //! Feldman commitments so each trust domain can verify its share — strictly
-//! stronger than the prototype's plain dealer (documented in DESIGN.md).
+//! stronger than the prototype's plain dealer, which a domain had to trust
+//! to hand out consistent shares.
 
 use crate::bls::{PublicKey, Signature};
 use crate::fr::Fr;
@@ -379,6 +380,40 @@ mod tests {
             value: good.value,
         };
         assert!(!verify_partial(&keys.commitments, msg, &mislabeled));
+    }
+
+    /// The argument the signing client's combine-first path rests on: with
+    /// fewer than `t` corrupt partials in a set, the aggregate verifies
+    /// under the group key only if every partial is valid. Replacing any
+    /// one partial with another valid G1 point always breaks the aggregate.
+    #[test]
+    fn one_wrong_partial_always_breaks_the_aggregate() {
+        for t in [2, 3] {
+            let keys = setup(t, t + 2, b"soundness");
+            let msg = b"combine first";
+            let honest: Vec<PartialSignature> = keys.shares[1..=t]
+                .iter()
+                .map(|s| partial_sign(s, msg))
+                .collect();
+            let sig = aggregate(t, &honest).unwrap();
+            assert!(keys.public_key.verify(msg, &sig), "t={t}: honest set");
+            for pos in 0..t {
+                let mut set = honest.clone();
+                // A valid subgroup point under the right index: what a
+                // domain signing with a wrong share value sends.
+                let wrong_share = KeyShare {
+                    index: set[pos].index,
+                    value: Fr::from_u64(7),
+                };
+                set[pos] = partial_sign(&wrong_share, msg);
+                assert!(!verify_partial(&keys.commitments, msg, &set[pos]));
+                let sig = aggregate(t, &set).unwrap();
+                assert!(
+                    !keys.public_key.verify(msg, &sig),
+                    "t={t}: wrong partial at position {pos} passed"
+                );
+            }
+        }
     }
 
     #[test]

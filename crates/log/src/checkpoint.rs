@@ -22,7 +22,8 @@ pub struct CheckpointBody {
     pub size: u64,
     /// Log head: hash-chain head or Merkle root, per deployment config.
     pub head: [u8; 32],
-    /// Logical timestamp (monotonic counter, not wall clock — DESIGN.md §5).
+    /// Logical timestamp: a monotonic counter, not wall clock, because a
+    /// domain's clock is not trusted and signed bytes must be deterministic.
     pub logical_time: u64,
 }
 

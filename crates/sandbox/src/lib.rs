@@ -2,7 +2,8 @@
 //!
 //! The sandboxed execution environment of the `distrust` framework — this
 //! workspace's stand-in for the WebAssembly/Node.js sandbox of the paper's
-//! prototype (§5), per the substitution table in DESIGN.md.
+//! prototype (§5): a small bytecode VM with the same isolation contract,
+//! built from source because the workspace has no Wasm runtime.
 //!
 //! §4.1 requires that "the executed code cannot 'escape' the sandbox and
 //! have an effect on the system outside the sandbox (i.e. the framework)".

@@ -17,7 +17,9 @@
 //! * [`host`] — the two-socket proxy topology of the paper's prototype
 //!   (client → host proxy → enclave interior), used verbatim by Table 3.
 //!
-//! See DESIGN.md for why simulation preserves the behaviours that matter.
+//! Simulation keeps the behaviours the framework relies on: per-vendor
+//! roots, quotes verified against pinned keys, sealing bound to the
+//! measured code, and the proxy hop's real socket cost.
 
 pub mod attest;
 pub mod enclave;

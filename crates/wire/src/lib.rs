@@ -3,7 +3,7 @@
 //! Deterministic serialization, framing, transports, and RPC for the
 //! `distrust` workspace.
 //!
-//! Design notes (see DESIGN.md §5): explicit message types with a canonical
+//! Design notes: explicit message types with a canonical
 //! binary codec so that hashed/signed structures have one byte
 //! representation everywhere; real TCP loopback sockets wherever the
 //! paper's evaluation attributes cost to socket hops. Serving comes in two

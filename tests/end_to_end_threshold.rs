@@ -5,9 +5,22 @@
 //! signs through the framework, and verifies the aggregate under the group
 //! public key.
 
-use distrust::apps::threshold_signer::{self, ThresholdSigningClient};
-use distrust::core::{Deployment, TrustPolicy};
+use distrust::apps::threshold_signer::{self, SignError, SignerHost, ThresholdSigningClient};
+use distrust::core::{AppSpec, Deployment, TrustPolicy};
 use distrust::crypto::drbg::HmacDrbg;
+use distrust::crypto::fr::Fr;
+use distrust::crypto::threshold::KeyShare;
+
+/// Makes domain `d` byzantine: it keeps share index `d + 1` but signs with
+/// a wrong share value, so its partials are well-formed points that fail
+/// Feldman verification.
+fn corrupt_domain(spec: &mut AppSpec, d: usize) {
+    let share = KeyShare {
+        index: (d + 1) as u8,
+        value: Fr::from_u64(7),
+    };
+    spec.hosts[d] = Box::new(SignerHost::new(share));
+}
 
 #[test]
 fn five_domain_threshold_signing() {
@@ -135,4 +148,54 @@ fn share_index_served_through_deployment() {
             .expect("index call");
         assert_eq!(out, vec![(domain + 1) as u8]);
     }
+}
+
+#[test]
+fn signing_routes_around_byzantine_minority() {
+    let mut rng = HmacDrbg::new(b"e2e byzantine", b"dealer");
+    let (mut spec, public) = threshold_signer::setup(2, 5, &mut rng).expect("setup");
+    for d in 1..=3 {
+        corrupt_domain(&mut spec, d);
+    }
+    let deployment = Deployment::launch(spec, b"e2e byzantine seed").expect("launch");
+    let mut client = deployment.client(b"client-byzantine");
+    let mut session = client.session(TrustPolicy::pinned(deployment.initial_app_digest));
+    let signer = ThresholdSigningClient::new(public.clone());
+    // Only domains 0 and 4 sign correctly, so almost every signature has a
+    // bad partial among the first two that arrive and must be recovered by
+    // dropping it and asking the remaining domains.
+    for i in 0..10 {
+        let msg = format!("byzantine message {i}");
+        let sig = signer
+            .sign(&mut session, msg.as_bytes())
+            .unwrap_or_else(|e| panic!("signature {i}: {e}"));
+        assert!(
+            public.public_key.verify(msg.as_bytes(), &sig),
+            "signature {i}"
+        );
+    }
+}
+
+#[test]
+fn byzantine_and_dead_domains_leave_too_few_valid_partials() {
+    let mut rng = HmacDrbg::new(b"e2e byzantine", b"starved");
+    let (mut spec, public) = threshold_signer::setup(2, 3, &mut rng).expect("setup");
+    corrupt_domain(&mut spec, 1);
+    let deployment = Deployment::launch(spec, b"e2e byzantine starved").expect("launch");
+    let mut descriptor = deployment.descriptor.clone();
+    descriptor.domains[2].addr = "127.0.0.1:1".parse().unwrap();
+    let mut client = distrust::core::DeploymentClient::new(
+        descriptor,
+        Box::new(HmacDrbg::new(b"byzantine starved", b"")),
+    );
+    let mut session = client.session(TrustPolicy::audited());
+    let signer = ThresholdSigningClient::new(public);
+    // Domain 1's partial is well-formed, so it is combined, the aggregate
+    // fails, and the per-partial check leaves only domain 0's: the error
+    // names the shortfall, not the bad aggregate.
+    let err = signer.sign(&mut session, b"one honest domain").unwrap_err();
+    assert!(
+        matches!(err, SignError::NotEnoughPartials { got: 1, need: 2 }),
+        "unexpected error: {err:?}"
+    );
 }
