@@ -141,7 +141,8 @@ fn main() {
         }
     );
 
-    // Emit machine-readable results for EXPERIMENTS.md. Formatted by hand:
+    // Emit machine-readable results, so runs can be compared without
+    // parsing the console report. Formatted by hand:
     // every value is a number, a string without escapes, or null, so no
     // JSON library is needed (and none is available offline).
     fn json_f64(v: f64) -> String {

@@ -4,13 +4,48 @@
 //! (`x = X/Z²`, `y = Y/Z³`, infinity encoded as `Z = 0`). Scalar
 //! multiplication is variable-time double-and-add; see the side-channel note
 //! in [`crate::limbs`].
+//!
+//! Subgroup membership ([`G1Affine::is_torsion_free`]) uses Scott's
+//! endomorphism test instead of multiplying by the 255-bit group order;
+//! many-term sums `Σ kᵢ·Pᵢ` (batch signature verification) use
+//! `G1Projective::multi_mul`, a windowed Straus multiplication.
 
 use crate::fp::Fp;
 use crate::fr::Fr;
+use crate::limbs;
 use crate::sha256::sha256_many;
+use std::sync::OnceLock;
 
 /// The G1 cofactor `h1 = 0x396c8c005555e1568c00aaab0000aaab`.
 pub const COFACTOR: [u64; 2] = [0x8c00_aaab_0000_aaab, 0x396c_8c00_5555_e156];
+
+/// `|z|` for the BLS12-381 curve parameter `z = -0xd201000000010000`:
+/// 64 bits with Hamming weight 6, so a multiplication by it is 63
+/// doublings and 5 additions.
+const Z_ABS: u64 = 0xd201_0000_0001_0000;
+
+/// The primitive cube root of unity `β ∈ Fp` for which the endomorphism
+/// `φ(x, y) = (βx, y)` acts on G1 as multiplication by `−z²` (the other
+/// root, `β²`, acts as `z² − 1`). Of the two roots `g^{(p−1)/3}` and its
+/// square, the one that maps the generator correctly is kept.
+fn beta() -> &'static Fp {
+    static BETA: OnceLock<Fp> = OnceLock::new();
+    BETA.get_or_init(|| {
+        let exp = limbs::div_by_u64(&limbs::sub_small(&Fp::MODULUS, 1), 3);
+        let omega = (2u64..)
+            .map(|g| Fp::from_u64(g).pow_vartime(&exp))
+            .find(|w| *w != Fp::ONE)
+            .expect("Fp has a cubic non-residue");
+        let g = G1Affine::generator();
+        if g.endomorphism_matches(&omega) {
+            omega
+        } else {
+            let other = omega.square();
+            debug_assert!(g.endomorphism_matches(&other));
+            other
+        }
+    })
+}
 
 /// Affine G1 point (or the point at infinity).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -71,8 +106,37 @@ impl G1Affine {
         y2 == x3_plus_b
     }
 
-    /// Subgroup membership: `[r]P == O`. Variable time.
+    /// Subgroup membership of a point on the curve, by Scott's
+    /// endomorphism test: `P ∈ G1` iff `φ(P) == −z²·P` with
+    /// `φ(x, y) = (βx, y)` (M. Scott, "A note on group membership tests
+    /// for G1, G2 and GT on BLS pairing-friendly curves", ePrint 2021/1130,
+    /// §6; the proof is corrected in El Housni–Guillevic–Piellard,
+    /// ePrint 2022/352). Two multiplications by the 64-bit, weight-6 `|z|`
+    /// replace one by the 255-bit order `r`. Variable time.
     pub fn is_torsion_free(&self) -> bool {
+        self.endomorphism_matches(beta())
+    }
+
+    /// `(βx, y) == −z²·P` for a candidate cube root of unity `β`.
+    fn endomorphism_matches(&self, beta: &Fp) -> bool {
+        if self.infinity {
+            return true;
+        }
+        let z2p = G1Projective::from(*self)
+            .mul_limbs(&[Z_ABS])
+            .mul_limbs(&[Z_ABS]);
+        let phi = G1Projective {
+            x: self.x.mul(beta),
+            y: self.y,
+            z: Fp::ONE,
+        };
+        phi == z2p.neg()
+    }
+
+    /// The definitional subgroup test `[r]P == O`, kept as the oracle
+    /// [`G1Affine::is_torsion_free`] is tested against.
+    #[cfg(test)]
+    fn is_torsion_free_by_order(&self) -> bool {
         G1Projective::from(*self)
             .mul_limbs(&Fr::MODULUS)
             .is_identity()
@@ -302,6 +366,58 @@ impl G1Projective {
         acc
     }
 
+    /// `Σ kᵢ·Pᵢ` by windowed Straus multiplication (Shamir's trick for
+    /// many terms): one shared chain of doublings, four bits per window,
+    /// and per term a table `[P, 2P, …, dP]` up to its largest window
+    /// digit `d ≤ 15`, allocated for this call. A term whose scalar is
+    /// below 16 thus costs a single addition. Scalars are little-endian
+    /// 256-bit integers (`Fr` canonical limbs, or a smaller value
+    /// zero-extended). Variable time.
+    pub(crate) fn multi_mul(terms: &[(G1Projective, [u64; 4])]) -> Self {
+        const WINDOW: usize = 4;
+        const MASK: u64 = (1 << WINDOW) - 1;
+        let digit = |k: &[u64; 4], w: usize| {
+            let bit = w * WINDOW;
+            ((k[bit / 64] >> (bit % 64)) & MASK) as usize
+        };
+        let windows = terms
+            .iter()
+            .map(|(_, k)| limbs::bit_length(k).div_ceil(WINDOW))
+            .max()
+            .unwrap_or(0);
+        let tables: Vec<Vec<G1Projective>> = terms
+            .iter()
+            .map(|(p, k)| {
+                let top = (0..windows).map(|w| digit(k, w)).max().unwrap_or(0);
+                let mut table = Vec::with_capacity(top);
+                if top >= 1 {
+                    table.push(*p);
+                }
+                if top >= 2 {
+                    table.push(p.double());
+                }
+                while table.len() < top {
+                    let next = table[table.len() - 1].add(p);
+                    table.push(next);
+                }
+                table
+            })
+            .collect();
+        let mut acc = Self::identity();
+        for w in (0..windows).rev() {
+            for _ in 0..WINDOW {
+                acc = acc.double();
+            }
+            for ((_, k), table) in terms.iter().zip(&tables) {
+                let d = digit(k, w);
+                if d != 0 {
+                    acc = acc.add(&table[d - 1]);
+                }
+            }
+        }
+        acc
+    }
+
     /// Multiplies by the G1 cofactor, mapping any curve point into the
     /// order-`r` subgroup.
     pub fn clear_cofactor(&self) -> Self {
@@ -354,6 +470,7 @@ pub fn hash_to_g1(msg: &[u8], dst: &[u8]) -> G1Projective {
 mod tests {
     use super::*;
     use crate::drbg::HmacDrbg;
+    use proptest::prelude::*;
 
     #[test]
     fn generator_on_curve_and_torsion_free() {
@@ -404,6 +521,116 @@ mod tests {
     fn order_annihilates_generator() {
         let g = G1Projective::generator();
         assert!(g.mul_limbs(&Fr::MODULUS).is_identity());
+    }
+
+    /// An on-curve point whose x-coordinate is hashed from `seed` — with
+    /// overwhelming probability outside G1 (the cofactor is ~2¹²⁶).
+    fn curve_point(seed: &[u8]) -> Option<G1Affine> {
+        let mut xb = [0u8; 48];
+        xb[..32].copy_from_slice(&sha256_many(&[b"g1 test x/1", seed]));
+        xb[32..].copy_from_slice(&sha256_many(&[b"g1 test x/2", seed])[..16]);
+        xb[0] &= 0x1f;
+        let x = Fp::from_bytes_be(&xb)?;
+        let y = x.square().mul(&x).add(&Fp::from_u64(4)).sqrt()?;
+        let p = G1Affine {
+            x,
+            y,
+            infinity: false,
+        };
+        debug_assert!(p.is_on_curve());
+        Some(p)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn endomorphism_test_matches_order_oracle(seed in any::<[u8; 16]>()) {
+            let p = curve_point(&seed);
+            prop_assume!(p.is_some());
+            let p = p.expect("assumed above");
+            prop_assert_eq!(p.is_torsion_free(), p.is_torsion_free_by_order());
+            prop_assert_eq!(p.neg().is_torsion_free(), p.neg().is_torsion_free_by_order());
+            let cleared = G1Projective::from(p).clear_cofactor().to_affine();
+            prop_assert!(cleared.is_torsion_free());
+            prop_assert!(cleared.is_torsion_free_by_order());
+        }
+    }
+
+    #[test]
+    fn endomorphism_test_edge_cases() {
+        assert!(G1Affine::identity().is_torsion_free());
+        assert!(G1Affine::identity().is_torsion_free_by_order());
+        // Some hashed x-coordinates must land outside the subgroup, and
+        // the endomorphism test must agree with the oracle on each.
+        let outside = (0u8..32)
+            .filter_map(|i| curve_point(&[i]))
+            .filter(|p| !p.is_torsion_free_by_order())
+            .inspect(|p| assert!(!p.is_torsion_free()))
+            .count();
+        assert!(outside > 0, "expected points outside G1");
+    }
+
+    #[test]
+    fn endomorphism_test_rejects_small_order_components() {
+        // h = 3 · 11² · 10177² · 859267² · 52437899². For each prime power
+        // ℓᵉ ∥ h, T = [r·h/ℓᵉ]P is O or has ℓ-power order, so T and G + T
+        // are points whose only non-G1 component has order ℓ or ℓ².
+        let g = G1Projective::generator();
+        for (l, e) in [
+            (3u64, 1),
+            (11, 2),
+            (10177, 2),
+            (859_267, 2),
+            (52_437_899, 2),
+        ] {
+            let l_e = l.pow(e);
+            let h_over = limbs::div_by_u64(&COFACTOR, l_e);
+            let t = (0u8..16)
+                .filter_map(|i| curve_point(&[b'l', i]))
+                .map(|p| {
+                    G1Projective::from(p)
+                        .mul_limbs(&Fr::MODULUS)
+                        .mul_limbs(&h_over)
+                })
+                .find(|t| !t.is_identity())
+                .expect("a point with a nontrivial ℓ-part");
+            assert!(t.mul_limbs(&[l_e]).is_identity(), "ℓ-power order, ℓ = {l}");
+            for q in [t.to_affine(), g.add(&t).to_affine()] {
+                assert!(!q.is_torsion_free_by_order());
+                assert!(!q.is_torsion_free(), "ℓ = {l}");
+            }
+        }
+    }
+
+    #[test]
+    fn decoding_rejects_points_outside_the_subgroup() {
+        let p = (0u8..32)
+            .filter_map(|i| curve_point(&[i]))
+            .find(|p| !p.is_torsion_free_by_order())
+            .expect("a point outside G1");
+        assert_eq!(G1Affine::from_compressed(&p.to_compressed()), None);
+    }
+
+    #[test]
+    fn multi_mul_matches_separate_multiplications() {
+        let mut rng = HmacDrbg::new(b"g1", b"multi_mul");
+        let mut terms = Vec::new();
+        let mut expect = G1Projective::identity();
+        for i in 0..5u64 {
+            let p = G1Projective::random(&mut rng);
+            // Full scalars, small ones (single-entry tables) and zero.
+            let k = match i {
+                0 => Fr::ZERO,
+                1 => Fr::ONE,
+                2 => Fr::from_u64(0xf00f),
+                _ => Fr::random(&mut rng),
+            };
+            expect = expect.add(&p.mul_scalar(&k));
+            terms.push((p, k.to_canonical_limbs()));
+        }
+        assert_eq!(G1Projective::multi_mul(&terms), expect);
+        assert!(G1Projective::multi_mul(&[]).is_identity());
     }
 
     #[test]

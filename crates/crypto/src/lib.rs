@@ -17,7 +17,9 @@
 //! * [`threshold`] — Shamir sharing over `Fr`, Feldman VSS, threshold BLS.
 //! * [`gf256`] — byte-oriented Shamir secret sharing (key backup payloads).
 //! * [`schnorr`] — Schnorr signatures over G1 (developer update keys, vendor
-//!   attestation roots, log checkpoint signatures).
+//!   attestation roots, log checkpoint signatures), with batch verification
+//!   of many signatures under one key as a single weighted equation; G1
+//!   decoding checks subgroup membership with the endomorphism test.
 //!
 //! ## Security model
 //!

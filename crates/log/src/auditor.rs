@@ -117,31 +117,45 @@ struct DomainState {
 }
 
 impl DomainState {
+    /// True when `cp` is byte-identical to the checkpoint already accepted
+    /// at its size. `seen` only ever holds checkpoints whose signature this
+    /// auditor verified, so such a checkpoint has nothing left to prove.
+    fn is_known(&self, cp: &SignedCheckpoint) -> bool {
+        self.seen.get(&cp.body.size) == Some(cp)
+    }
+
     /// Checkpoint-level prechecks of [`Auditor::observe_shard_bundle`]:
     /// the evidence hunts over the *signed checkpoints*, before any
     /// per-shard verification. In order: signature verification skipping
-    /// checkpoints byte-identical to already-verified ones; equivocation
-    /// inside the batch (two correctly signed heads for one size are
-    /// transferable proof); equivocation against everything previously
-    /// seen; structural ascending sizes; and rollback below the verified
-    /// prefix. Returns the first misbehavior found, `None` when clean.
+    /// checkpoints byte-identical to already-verified ones (one batch
+    /// equation for the rest, per-checkpoint checks only to assign blame);
+    /// equivocation inside the batch (two correctly signed heads for one
+    /// size are transferable proof); equivocation against everything
+    /// previously seen; structural ascending sizes; and rollback below the
+    /// verified prefix. Returns the first misbehavior found, `None` when clean.
     fn precheck_checkpoint_batch(
         &mut self,
         domain: u32,
         cps: &[&SignedCheckpoint],
     ) -> Option<Misbehavior> {
         // 1. Signatures, skipping checkpoints byte-identical to ones this
-        //    auditor already verified (the common steady-state case).
+        //    auditor already verified (the common steady-state case). The
+        //    rest are checked together with one batch equation; only when
+        //    it fails does the per-checkpoint loop run, to name the first
+        //    bad checkpoint in bundle order (blame). Either way the
+        //    counters record one skip or one signature per checkpoint.
+        let fresh: Vec<&SignedCheckpoint> = cps
+            .iter()
+            .copied()
+            .filter(|cp| !self.is_known(cp))
+            .collect();
+        let batch_ok = SignedCheckpoint::verify_all(&fresh, &self.key);
         for cp in cps {
-            let known = self
-                .seen
-                .get(&cp.body.size)
-                .is_some_and(|prior| prior == *cp);
-            if known {
+            if self.is_known(cp) {
                 self.cache.note_skipped();
                 continue;
             }
-            if !cp.verify(&self.key) {
+            if !batch_ok && !cp.verify(&self.key) {
                 return Some(Misbehavior::BadSignature {
                     domain,
                     checkpoint: (*cp).clone(),
@@ -531,6 +545,12 @@ impl Auditor {
     /// Unlike [`Auditor::observe_shard_bundle`], gossip makes no freshness
     /// or growth demands: the relaying client may legitimately be behind, so only
     /// signature validity and same-size-different-head conflicts matter.
+    ///
+    /// Each head is verified once: a head byte-identical to the checkpoint
+    /// already accepted at its size is `Consistent` without a signature
+    /// check — the rule the bundle prechecks apply, sound because only
+    /// verified checkpoints are ever accepted. Gossip leaves the
+    /// verified-prefix counters alone either way.
     pub fn ingest_gossip(&mut self, domain: u32, checkpoint: SignedCheckpoint) -> AuditOutcome {
         let Some(state) = self.domains.get_mut(domain as usize) else {
             return AuditOutcome::Misbehavior(Box::new(Misbehavior::BadSignature {
@@ -538,6 +558,9 @@ impl Auditor {
                 checkpoint,
             }));
         };
+        if state.is_known(&checkpoint) {
+            return AuditOutcome::Consistent;
+        }
         if !checkpoint.verify(&state.key) {
             return AuditOutcome::Misbehavior(Box::new(Misbehavior::BadSignature {
                 domain,
@@ -631,9 +654,10 @@ pub fn digests_match(digests: &[Digest]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::ProofBundle;
     use crate::checkpoint::{log_id, CheckpointBody};
     use crate::merkle::MerkleLog;
-    use distrust_crypto::schnorr::SigningKey;
+    use distrust_crypto::schnorr::{SchnorrSignature, SigningKey};
 
     struct Domain {
         sk: SigningKey,
@@ -944,8 +968,155 @@ mod tests {
     }
 
     #[test]
+    fn gossip_skips_known_heads_but_not_corrupted_copies() {
+        let mut d = Domain::new(0);
+        let mut auditor = auditor_for(std::slice::from_ref(&d));
+        d.log.append(b"v1");
+        let cp = d.checkpoint();
+        assert!(auditor.observe(0, cp.clone(), None).is_consistent());
+        let counters = |a: &Auditor| {
+            let c = a.prefix_cache(0).expect("domain 0");
+            (
+                c.signatures_verified(),
+                c.consistency_verified(),
+                c.skipped(),
+            )
+        };
+        let before = counters(&auditor);
+        // A byte-identical relay of a verified head: nothing to prove.
+        assert!(auditor.ingest_gossip(0, cp.clone()).is_consistent());
+        assert_eq!(counters(&auditor), before);
+        // Same body, corrupted signature: not the known head, so it is
+        // verified — and rejected.
+        let mut bytes = cp.signature.to_bytes();
+        bytes[79] ^= 1;
+        let corrupted = SignedCheckpoint {
+            body: cp.body.clone(),
+            signature: SchnorrSignature::from_bytes(&bytes).expect("s stays canonical"),
+        };
+        match auditor.ingest_gossip(0, corrupted.clone()) {
+            AuditOutcome::Misbehavior(m) => match *m {
+                Misbehavior::BadSignature { domain, checkpoint } => {
+                    assert_eq!(domain, 0);
+                    assert_eq!(checkpoint, corrupted);
+                }
+                other => panic!("expected bad signature, got {other:?}"),
+            },
+            other => panic!("expected bad signature, got {other:?}"),
+        }
+        assert_eq!(counters(&auditor), before);
+        assert_eq!(auditor.latest(0), Some(&cp));
+        assert!(auditor.ingest_gossip(0, cp).is_consistent());
+    }
+
+    /// An honest bundle of `epochs` releases, one checkpoint per epoch,
+    /// linked from the empty log.
+    fn epoch_bundle(d: &mut Domain, epochs: usize) -> CheckpointBundle {
+        let checkpoints: Vec<SignedCheckpoint> = (0..epochs)
+            .map(|i| {
+                d.log.append(format!("release {i}").as_bytes());
+                d.checkpoint()
+            })
+            .collect();
+        let sizes: Vec<usize> = checkpoints.iter().map(|cp| cp.body.size as usize).collect();
+        let proof = d.log.prove_consistency_range(&sizes).expect("honest range");
+        CheckpointBundle { checkpoints, proof }
+    }
+
+    #[test]
+    fn forged_signature_in_a_64_epoch_bundle_is_named() {
+        let mut d = Domain::new(0);
+        let honest = epoch_bundle(&mut d, 64);
+        let key = d.sk.verifying_key();
+        let stranger = SigningKey::derive(b"stranger", b"");
+        // Two forgeries: the right body signed by another key, and the
+        // domain's own signature lifted from the neighbouring checkpoint.
+        type Forge = fn(&CheckpointBundle, usize, &SigningKey) -> SignedCheckpoint;
+        let forgeries: [(&str, Forge); 2] = [
+            ("stranger key", |b, p, stranger| {
+                SignedCheckpoint::sign(b.checkpoints[p].body.clone(), stranger)
+            }),
+            ("neighbour's signature", |b, p, _| SignedCheckpoint {
+                body: b.checkpoints[p].body.clone(),
+                signature: b.checkpoints[(p + 1) % b.checkpoints.len()].signature,
+            }),
+        ];
+        for (how, forge) in forgeries {
+            for positions in [&[0][..], &[31], &[63], &[40, 17]] {
+                let mut bundle = honest.clone();
+                for &p in positions {
+                    bundle.checkpoints[p] = forge(&honest, p, &stranger);
+                }
+                // What the per-signature loop names: the first bad one in
+                // bundle order.
+                let expected = bundle
+                    .checkpoints
+                    .iter()
+                    .find(|cp| !cp.verify(&key))
+                    .cloned()
+                    .expect("a forged checkpoint");
+                let first = *positions.iter().min().expect("non-empty");
+                assert_eq!(expected, bundle.checkpoints[first]);
+                let mut auditor = auditor_for(std::slice::from_ref(&d));
+                match auditor.observe_bundle(0, &bundle) {
+                    AuditOutcome::Misbehavior(m) => match *m {
+                        Misbehavior::BadSignature { domain, checkpoint } => {
+                            assert_eq!(domain, 0);
+                            assert_eq!(checkpoint, expected, "{how} at {positions:?}");
+                        }
+                        other => panic!("{how} at {positions:?}: got {other:?}"),
+                    },
+                    other => panic!("{how} at {positions:?}: got {other:?}"),
+                }
+                assert!(auditor.latest(0).is_none(), "nothing committed");
+            }
+        }
+        // The honest bundle passes, charging one signature per checkpoint;
+        // served again, it charges none.
+        let mut auditor = auditor_for(std::slice::from_ref(&d));
+        assert!(auditor.observe_bundle(0, &honest).is_consistent());
+        let cache = auditor.prefix_cache(0).expect("domain 0");
+        assert_eq!((cache.signatures_verified(), cache.skipped()), (64, 0));
+        let last = CheckpointBundle {
+            checkpoints: vec![honest.checkpoints[63].clone()],
+            proof: ProofBundle::default(),
+        };
+        assert!(auditor.observe_bundle(0, &last).is_consistent());
+        let cache = auditor.prefix_cache(0).expect("domain 0");
+        assert_eq!(cache.signatures_verified(), 64);
+    }
+
+    #[test]
+    fn forged_signature_behind_a_verified_prefix_is_named() {
+        // Half the history is verified; a bundle re-serving it with one
+        // checkpoint's signature swapped is not byte-identical to the
+        // known one, so it is checked and named.
+        let mut d = Domain::new(0);
+        let honest = epoch_bundle(&mut d, 16);
+        let mut auditor = auditor_for(std::slice::from_ref(&d));
+        let first_half = CheckpointBundle {
+            checkpoints: honest.checkpoints[..8].to_vec(),
+            proof: d
+                .log
+                .prove_consistency_range(&(1..=8).collect::<Vec<_>>())
+                .expect("honest range"),
+        };
+        assert!(auditor.observe_bundle(0, &first_half).is_consistent());
+        let mut bundle = honest.clone();
+        bundle.checkpoints[3].signature = honest.checkpoints[4].signature;
+        match auditor.observe_bundle(0, &bundle) {
+            AuditOutcome::Misbehavior(m) => match *m {
+                Misbehavior::BadSignature { checkpoint, .. } => {
+                    assert_eq!(checkpoint, bundle.checkpoints[3])
+                }
+                other => panic!("expected bad signature, got {other:?}"),
+            },
+            other => panic!("expected bad signature, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn bundle_smuggling_stale_checkpoint_flagged_as_rollback() {
-        use crate::batch::{CheckpointBundle, ProofBundle};
         // The per-step path flags any served checkpoint older than the
         // verified prefix as Rollback; a stale entry hidden inside an
         // otherwise-fresh bundle must be flagged identically.
@@ -983,7 +1154,6 @@ mod tests {
 
     #[test]
     fn bundle_with_duplicate_checkpoint_is_tolerated() {
-        use crate::batch::{CheckpointBundle, ProofBundle};
         // A re-served checkpoint (same size, same head) is accepted by
         // the per-step path; a bundle containing the duplicate must be
         // too — only conflicting heads are evidence.

@@ -84,6 +84,23 @@ impl SignedCheckpoint {
     pub fn verify(&self, key: &VerifyingKey) -> bool {
         key.verify(&self.body.signing_bytes(), &self.signature)
     }
+
+    /// Verifies every checkpoint's signature under `key` with one batch
+    /// equation ([`VerifyingKey::verify_batch`]). `false` means at least
+    /// one signature is bad, not which: re-check one by one with
+    /// [`SignedCheckpoint::verify`] to assign blame.
+    pub(crate) fn verify_all(checkpoints: &[&SignedCheckpoint], key: &VerifyingKey) -> bool {
+        let messages: Vec<Vec<u8>> = checkpoints
+            .iter()
+            .map(|cp| cp.body.signing_bytes())
+            .collect();
+        let items: Vec<(&[u8], &SchnorrSignature)> = messages
+            .iter()
+            .zip(checkpoints)
+            .map(|(m, cp)| (m.as_slice(), &cp.signature))
+            .collect();
+        key.verify_batch(&items)
+    }
 }
 
 /// A publicly verifiable proof that one log key signed two conflicting
